@@ -12,7 +12,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -247,19 +246,6 @@ def _batch_entry(path: Path):
         payload.pop("format", None)
         payload.pop("input", None)
         entry["report"] = payload
-        if payload["smooth"]:
-            c = payload["codegree"]
-            n = payload["dim"]
-            qc = Fraction(payload["qcodegree"])
-            tau = Fraction(payload["nef_value"])
-            if not tau > c - 1:
-                violations.append(f"{path}: nef value {tau} not above codegree-1 {c - 1}")
-            if not tau >= qc:
-                violations.append(f"{path}: nef value {tau} below q-codegree {qc}")
-            if not qc <= c <= n + 1:
-                violations.append(f"{path}: codegree chain violated ({qc}, {c}, {n + 1})")
-            if payload["classification_applies"] and payload["cayley"] is None:
-                violations.append(f"{path}: forced Cayley structure missing")
     except InvalidPolytope as err:
         entry["error"] = str(err)
     except InvariantViolation as err:

@@ -17,6 +17,7 @@ from .polytope import (
     HPolytope,
     VPolytope,
     canonicalize,
+    contains,
     facets,
     hpolytope,
     reduce_vertices,
@@ -108,7 +109,26 @@ def save_polytope(path, hrep: HPolytope | None = None, vrep: VPolytope | None = 
     Path(path).write_text(json.dumps(polytope_payload(hrep, vrep), indent=2) + "\n")
 
 
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidPolytope(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
+def _block_array(payload: dict, block: str, key: str) -> list:
+    part = payload[block]
+    if not isinstance(part, dict):
+        raise InvalidPolytope(f"{block} must be a JSON object, got {part!r}")
+    return _array(part.get(key), f"{block}.{key}")
+
+
 def parse_polytope(payload: dict) -> LoadedPolytope:
+    """Validate a decoded polytope file; raises only InvalidPolytope.
+
+    When both presentations are given, every listed point must satisfy the
+    hrep and every vertex of the hrep must be listed; the vrep kept is then
+    the vertex set of the hrep, and non-extreme listed points are dropped.
+    """
     if not isinstance(payload, dict):
         raise InvalidPolytope("polytope file must hold a JSON object")
     if payload.get("format") != FORMAT:
@@ -117,32 +137,43 @@ def parse_polytope(payload: dict) -> LoadedPolytope:
     if dim < 0:
         raise InvalidPolytope("dimension must be nonnegative")
     hrep = None
-    vrep = None
+    pts = None
     if "hrep" in payload:
-        block = payload["hrep"]
-        normals = [[decode_int(c) for c in row] for row in block["normals"]]
-        offsets = [decode_rational(x) for x in block["offsets"]]
+        normals = [
+            [decode_int(c) for c in _array(row, "a normal")]
+            for row in _block_array(payload, "hrep", "normals")
+        ]
+        offsets = [decode_rational(x) for x in _block_array(payload, "hrep", "offsets")]
         if any(len(row) != dim for row in normals):
             raise InvalidPolytope("normal length does not match the dimension")
-        hrep = canonicalize(hpolytope(normals, offsets))
+        try:
+            raw = hpolytope(normals, offsets)
+        except ValueError as err:
+            raise InvalidPolytope(str(err)) from None
+        hrep = canonicalize(raw)
     if "vrep" in payload:
-        block = payload["vrep"]
-        pts = [tuple(decode_int(c) for c in row) for row in block["vertices"]]
+        pts = [
+            tuple(decode_int(c) for c in _array(row, "a vertex"))
+            for row in _block_array(payload, "vrep", "vertices")
+        ]
         if any(len(p) != dim for p in pts) or not pts:
             raise InvalidPolytope("vertex length does not match the dimension")
-        vrep = reduce_vertices(pts, dim)
-    if hrep is None and vrep is None:
+    if hrep is None and pts is None:
         raise InvalidPolytope("polytope file needs an hrep or a vrep block")
-    if hrep is not None and vrep is not None:
-        if vertices(hrep).vertices != vrep.vertices:
-            raise InvalidPolytope("hrep and vrep describe different polytopes")
+    if hrep is None:
+        return LoadedPolytope(dim, None, reduce_vertices(pts, dim))
+    if pts is None:
+        return LoadedPolytope(dim, hrep, None)
+    vrep = vertices(hrep)
+    if not all(contains(hrep, p) for p in pts) or not set(vrep.vertices) <= set(pts):
+        raise InvalidPolytope("hrep and vrep describe different polytopes")
     return LoadedPolytope(dim, hrep, vrep)
 
 
 def load_polytope(path) -> LoadedPolytope:
     try:
         text = Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InvalidPolytope(f"cannot read {path}: {err}") from None
     try:
         payload = json.loads(text)

@@ -5,6 +5,14 @@ A facet presentation lists pairs (normal, offset) encoding the half space
 presentations list exact rational points.  Conversions use brute force over
 n-element subsets, which is exact and fast at the intended scale (dimension
 at most 6, a few dozen facets or vertices).
+
+Boundedness is decided from the normals alone (is_bounded).  Everything
+else about a bounded facet presentation (emptiness, dimension, which half
+spaces are facets, the box holding its lattice points) is read off the
+vertices the subset loop finds.  Linear programs (lpx) remain only in
+reduce_vertices, which keeps the extreme points of a point set, and in
+is_empty, which runs on unbounded presentations alone to tell an empty one
+apart.
 """
 
 from __future__ import annotations
@@ -71,46 +79,39 @@ def hpolytope(normals: Sequence[Sequence[int]], offsets: Sequence) -> HPolytope:
     return HPolytope(n, tuple((tuple(int(c) for c in r), _q(a)) for r, a in zip(normals, offsets)))
 
 
-def _constraint_rows(p: HPolytope):
-    lhs = [list(normal) for normal, _ in p.facets]
-    rhs = [-offset for _, offset in p.facets]
-    return lhs, rhs
-
-
 def contains(p: HPolytope, x: Sequence) -> bool:
     return all(dot(normal, x) >= -offset for normal, offset in p.facets)
 
 
 def is_empty(p: HPolytope) -> bool:
-    lhs, rhs = _constraint_rows(p)
-    return not lpx.feasible(lhs, rhs)
+    lhs = [list(normal) for normal, _ in p.facets]
+    return not lpx.feasible(lhs, [-offset for _, offset in p.facets])
+
+
+def _cofactor(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Integer vector orthogonal to n-1 integer rows of length n, by cofactor
+    expansion; zero exactly when the rows are linearly dependent."""
+    n = len(rows) + 1
+    return tuple((-1) ** j * det([r[:j] + r[j + 1 :] for r in rows]) for j in range(n))
 
 
 def is_bounded(p: HPolytope) -> bool:
-    """True iff the recession cone {x : <rho_i, x> >= 0 for all i} is {0}."""
-    n = p.dim
-    lhs = [list(normal) for normal, _ in p.facets]
-    rhs = [0] * len(lhs)
-    for j in range(n):
-        for sign in (1, -1):
-            e = [0] * n
-            e[j] = sign
-            if lpx.feasible(lhs + [e], rhs + [1]):
+    """True iff the recession cone {x : <rho_i, x> >= 0 for all i} is {0}.
+
+    With normals of rank n the cone is pointed, so it is {0} exactly when it
+    has no extreme ray; an extreme ray is cut out by n-1 independent normals,
+    so it spans their cofactor vector, which lies in the cone up to sign.
+    """
+    normals = [normal for normal, _ in p.facets]
+    if rank(normals) < p.dim:
+        return False
+    for subset in itertools.combinations(normals, p.dim - 1):
+        ray = _cofactor(subset)
+        if any(ray):
+            vals = [dot(normal, ray) for normal in normals]
+            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
                 return False
     return True
-
-
-def _interior_gap(p: HPolytope) -> Fraction | None:
-    """Largest slack (capped at 1) achievable on all facets, None if empty."""
-    n = p.dim
-    lhs = [list(normal) + [-1] for normal, _ in p.facets]
-    rhs = [-offset for _, offset in p.facets]
-    lhs.append([0] * n + [-1])
-    rhs.append(-1)
-    out = lpx.solve(lpx.linear_program([0] * n + [-1], lhs, rhs))
-    if out.status == lpx.INFEASIBLE:
-        return None
-    return -out.value
 
 
 def canonicalize(p: HPolytope) -> HPolytope:
@@ -119,6 +120,9 @@ def canonicalize(p: HPolytope) -> HPolytope:
     Normals are made primitive, duplicates and redundant half spaces are
     dropped, and the list is sorted by (normal, offset).  Raises
     InvalidPolytope when the input is empty, unbounded, or lower-dimensional.
+    A full-dimensional polytope has only one irredundant presentation with
+    distinct primitive normals: the half spaces whose tight vertices span a
+    hyperplane.
     """
     if p.dim < 1:
         raise InvalidPolytope("ambient dimension must be at least 1")
@@ -131,28 +135,33 @@ def canonicalize(p: HPolytope) -> HPolytope:
         val = _q(Fraction(offset, g))
         if key not in tight or val < tight[key]:
             tight[key] = val
-    facets = sorted(tight.items())
-    work = HPolytope(p.dim, tuple(facets))
-    if is_empty(work):
-        raise InvalidPolytope("polytope is empty")
-    if not is_bounded(work):
-        raise InvalidPolytope("polytope is unbounded")
-    gap = _interior_gap(work)
-    if gap is None or gap <= 0:
+    work = HPolytope(p.dim, tuple(sorted(tight.items())))
+    data = vertex_data(work)
+    if affine_dim([v.point for v in data]) < p.dim:
         raise InvalidPolytope("polytope is not full-dimensional")
-    kept = list(facets)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1 :]
-        lhs = [list(normal) for normal, _ in others]
-        rhs = [-offset for _, offset in others]
-        normal, offset = kept[i]
-        out = lpx.solve(lpx.linear_program(list(normal), lhs, rhs))
-        if out.status == lpx.OPTIMAL and out.value >= -offset:
-            kept.pop(i)
-        else:
-            i += 1
-    return HPolytope(p.dim, tuple(kept))
+    kept = tuple(
+        facet
+        for i, facet in enumerate(work.facets)
+        if affine_dim([v.point for v in data if i in v.incident]) == p.dim - 1
+    )
+    return HPolytope(p.dim, kept)
+
+
+def _vertex_points(p: HPolytope) -> list[Point]:
+    """Sorted points of p cut out by n listed hyperplanes with independent
+    normals: the vertices when p is bounded, none when p is empty."""
+    n = p.dim
+    points = set()
+    for subset in itertools.combinations(range(len(p.facets)), n):
+        a = [p.facets[i][0] for i in subset]
+        b = [-p.facets[i][1] for i in subset]
+        out = solve_exact(a, b)
+        if out.status != UNIQUE:
+            continue
+        x = tuple(_q(c) for c in out.point)
+        if contains(p, x):
+            points.add(x)
+    return sorted(points)
 
 
 @lru_cache(maxsize=None)
@@ -165,22 +174,13 @@ def vertex_data(p: HPolytope) -> tuple[VertexData, ...]:
     n = p.dim
     if n < 1:
         raise InvalidPolytope("ambient dimension must be at least 1")
-    if is_empty(p):
-        raise InvalidPolytope("polytope is empty")
     if not is_bounded(p):
-        raise InvalidPolytope("polytope is unbounded")
-    points = set()
-    for subset in itertools.combinations(range(len(p.facets)), n):
-        a = [p.facets[i][0] for i in subset]
-        b = [-p.facets[i][1] for i in subset]
-        out = solve_exact(a, b)
-        if out.status != UNIQUE:
-            continue
-        x = tuple(_q(c) for c in out.point)
-        if contains(p, x):
-            points.add(x)
+        raise InvalidPolytope("polytope is empty" if is_empty(p) else "polytope is unbounded")
+    points = _vertex_points(p)
+    if not points:
+        raise InvalidPolytope("polytope is empty")
     data = []
-    for x in sorted(points):
+    for x in points:
         incident = tuple(i for i, (normal, offset) in enumerate(p.facets) if dot(normal, x) == -offset)
         u = None
         if len(incident) == n:
@@ -228,12 +228,8 @@ def facets(q: VPolytope) -> HPolytope:
     found = set()
     for subset in itertools.combinations(range(len(verts)), n):
         base = verts[subset[0]]
-        rows = [_integer_row(vsub(verts[i], base)) for i in subset[1:]]
-        # Cofactor expansion gives an integer normal to the spanned hyperplane.
-        normal = tuple(
-            (-1) ** j * det([r[:j] + r[j + 1 :] for r in rows]) for j in range(n)
-        )
-        if all(c == 0 for c in normal):
+        normal = _cofactor([_integer_row(vsub(verts[i], base)) for i in subset[1:]])
+        if not any(normal):
             continue  # subset does not span a hyperplane
         normal = primitive(normal)
         level = dot(normal, base)
@@ -246,22 +242,23 @@ def facets(q: VPolytope) -> HPolytope:
 
 
 def lattice_points(p: HPolytope) -> tuple[tuple[int, ...], ...]:
-    """Integer points of a bounded presentation, in lexicographic order."""
+    """Integer points of a bounded presentation, in lexicographic order.
+
+    The points of the box spanned by the vertices are tested one by one.
+    """
     n = p.dim
     if n < 1:
         raise InvalidPolytope("ambient dimension must be at least 1")
-    lhs, rhs = _constraint_rows(p)
-    bounds = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        lo = lpx.solve(lpx.linear_program(e, lhs, rhs))
-        if lo.status == lpx.INFEASIBLE:
+    if not is_bounded(p):
+        if is_empty(p):
             return ()
-        hi = lpx.solve(lpx.linear_program([-c for c in e], lhs, rhs))
-        if lo.status == lpx.UNBOUNDED or hi.status == lpx.UNBOUNDED:
-            raise InvalidPolytope("polytope is unbounded")
-        bounds.append(range(math.ceil(lo.value), math.floor(-hi.value) + 1))
+        raise InvalidPolytope("polytope is unbounded")
+    points = _vertex_points(p)
+    if not points:
+        return ()
+    bounds = [
+        range(math.ceil(min(col)), math.floor(max(col)) + 1) for col in zip(*points)
+    ]
     return tuple(
         pt for pt in itertools.product(*bounds) if contains(p, pt)
     )
@@ -297,42 +294,12 @@ def is_smooth(p: HPolytope):
     return True, None
 
 
-def _in_cone(vec, gens) -> bool:
-    """Exact membership of vec in the nonnegative span of gens."""
-    if not gens:
-        return all(c == 0 for c in vec)
-    k = len(gens)
-    n = len(vec)
-    lhs = []
-    rhs = []
-    for c in range(n):
-        row = [g[c] for g in gens]
-        lhs.append(row)
-        rhs.append(vec[c])
-        lhs.append([-x for x in row])
-        rhs.append(-vec[c])
-    for j in range(k):
-        e = [0] * k
-        e[j] = 1
-        lhs.append(e)
-        rhs.append(0)
-    return lpx.feasible(lhs, rhs)
-
-
 def _max_cones(p: HPolytope) -> frozenset:
-    cones = set()
-    for v in vertex_data(p):
-        gens = [p.facets[i][0] for i in v.incident]
-        if len(gens) == p.dim:
-            rays = gens
-        else:
-            rays = [
-                g
-                for i, g in enumerate(gens)
-                if not _in_cone(g, gens[:i] + gens[i + 1 :])
-            ]
-        cones.add(tuple(sorted(rays)))
-    return frozenset(cones)
+    """Each vertex's normal cone as the sorted tuple of its incident normals,
+    which in a canonical presentation are exactly its extreme rays."""
+    return frozenset(
+        tuple(sorted(p.facets[i][0] for i in v.incident)) for v in vertex_data(p)
+    )
 
 
 def normal_fan_equal(p: HPolytope, q: HPolytope) -> bool:

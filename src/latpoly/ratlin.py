@@ -102,14 +102,6 @@ def rank(rows: Sequence[Sequence]) -> int:
     return r
 
 
-def is_unimodular_basis(vs: Sequence[Sequence[int]]) -> bool:
-    """True iff the given n vectors of length n have determinant +-1."""
-    n = len(vs)
-    if n == 0 or any(len(v) != n for v in vs):
-        raise ValueError("need exactly n vectors of length n")
-    return abs(det(vs)) == 1
-
-
 @dataclass(frozen=True)
 class SolveOutcome:
     """Verdict of an exact linear solve: unique point, none, or many."""
@@ -171,15 +163,6 @@ def invert_unimodular(rows: Sequence[Sequence[int]]) -> IntMatrix:
     if any(x.denominator != 1 for r in inv for x in r):
         raise ValueError("matrix is not unimodular")
     return tuple(tuple(int(x) for x in r) for r in inv)
-
-
-def dual_basis(vs: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
-    """Integer vectors u_j with <v_i, u_j> = delta_ij, for a unimodular basis."""
-    if not is_unimodular_basis(vs):
-        raise ValueError("dual basis needs a unimodular basis")
-    inv = invert_unimodular(vs)
-    # u_j is the j-th column of the inverse of the matrix with rows v_i.
-    return tuple(tuple(inv[i][j] for i in range(len(vs))) for j in range(len(vs)))
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]):

@@ -3,6 +3,7 @@ import json
 import pytest
 from fractions import Fraction
 
+from latpoly import lpx
 from latpoly.cayley import generate, lattice_point
 from latpoly.cli import main
 from latpoly.errors import InvalidPolytope, InvariantViolation
@@ -12,6 +13,7 @@ from latpoly.fileio import (
     polytope_payload,
     save_polytope,
 )
+from latpoly.invariants import classify
 from latpoly.polytope import VPolytope, vertices
 
 
@@ -81,6 +83,66 @@ def test_reader_rejects_mismatched_presentations(tmp_path):
     target.write_text(json.dumps(payload))
     with pytest.raises(InvalidPolytope):
         load_polytope(target)
+    h = generate("simplex", 2, 2)
+    v = vertices(h)
+    for points in (
+        ((0, 0), (2, 0)),  # vertex (0, 2) missing
+        ((0, 0), (0, 2), (2, 0), (2, 1)),  # (2, 1) lies outside
+    ):
+        target.write_text(json.dumps(polytope_payload(hrep=h, vrep=VPolytope(2, points))))
+        with pytest.raises(InvalidPolytope, match="describe different polytopes"):
+            load_polytope(target)
+    # Listed points that are not vertices are dropped.
+    extra = VPolytope(2, v.vertices + ((1, 1), (0, 1)))
+    target.write_text(json.dumps(polytope_payload(hrep=h, vrep=extra)))
+    assert load_polytope(target).vrep == v
+
+
+MALFORMED = {
+    "normals-without-offsets": {"format": "latpoly/1", "dim": 2, "hrep": {"normals": [[1, 0]]}},
+    "hrep-not-an-object": {"format": "latpoly/1", "dim": 2, "hrep": 5},
+    "vertices-not-rows": {"format": "latpoly/1", "dim": 2, "vrep": {"vertices": [1, 2]}},
+    "offsets-too-short": {
+        "format": "latpoly/1",
+        "dim": 1,
+        "hrep": {"normals": [[1], [-1]], "offsets": [0]},
+    },
+    "no-half-spaces": {"format": "latpoly/1", "dim": 1, "hrep": {"normals": [], "offsets": []}},
+    "not-utf-8": b"\xff\xfe{}",
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_file_exit_2(tmp_path, capsys, content):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    bad = indir / "a_bad.json"
+    bad.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    write_gen(indir, "b_good.json", "simplex", 1, 2)
+    assert main(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid polytope: ") and err.count("\n") == 1
+    out = tmp_path / "report.json"
+    assert main(["batch", str(indir), "--out", str(out)]) == 0
+    bad_entry, good_entry = json.loads(out.read_text())["reports"]
+    assert bad_entry["input"] == str(bad) and "error" in bad_entry
+    assert good_entry["report"]["codegree"] == 3
+
+
+@pytest.mark.parametrize("family", [("simplex", 1, 3), ("blowup", 4, 1, 3)])
+def test_load_and_classify_solve_one_lp(tmp_path, monkeypatch, family):
+    target = tmp_path / "p.json"
+    assert main(["gen", *map(str, family), "-o", str(target)]) == 0
+    calls = []
+    solve = lpx.solve
+
+    def counted(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(lpx, "solve", counted)
+    classify(load_polytope(target).hrep)
+    assert len(calls) == 1  # the rational codegree
 
 
 def test_analyze_blowup(tmp_path, capsys):

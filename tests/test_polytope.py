@@ -1,14 +1,21 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from latpoly import lpx
 from latpoly.errors import InvalidPolytope
 from latpoly.polytope import (
+    HPolytope,
     VPolytope,
     apply_unimodular,
     canonicalize,
     facets,
     hpolytope,
+    contains,
+    is_bounded,
     is_empty,
     is_smooth,
     lattice_equivalent,
@@ -280,3 +287,128 @@ def test_vertex_data_u_vectors():
     normals = [p.facets[i][0] for i in v.incident]
     for rho in normals:
         assert sum(a * b for a, b in zip(rho, v.u)) == 1
+
+
+# Independent LP oracle for the exact vertex-based answers.
+
+
+def _lp_rows(facets):
+    return [list(normal) for normal, _ in facets], [-offset for _, offset in facets]
+
+
+def _lp_bounded(p):
+    """The recession cone {x : <rho_i, x> >= 0} is {0}: 2n LPs."""
+    lhs = [list(normal) for normal, _ in p.facets]
+    for j in range(p.dim):
+        for sign in (1, -1):
+            e = [sign * int(i == j) for i in range(p.dim)]
+            if lpx.feasible(lhs + [e], [0] * len(lhs) + [1]):
+                return False
+    return True
+
+
+def _lp_full_dimensional(p):
+    """Some point has a positive slack t on every half space."""
+    lhs = [list(normal) + [-1] for normal, _ in p.facets] + [[0] * p.dim + [-1]]
+    rhs = [-offset for _, offset in p.facets] + [-1]
+    out = lpx.solve(lpx.linear_program([0] * p.dim + [-1], lhs, rhs))
+    return out.status == lpx.OPTIMAL and out.value < 0
+
+
+def _lp_irredundant(p):
+    """The half spaces not implied by all the others."""
+    kept = []
+    for i, (normal, offset) in enumerate(p.facets):
+        others = p.facets[:i] + p.facets[i + 1 :]
+        out = lpx.solve(lpx.linear_program(list(normal), *_lp_rows(others)))
+        if out.status == lpx.UNBOUNDED or out.value < -offset:
+            kept.append((normal, offset))
+    return tuple(kept)
+
+
+def _lp_box_points(p):
+    """Lattice points of the box from the LP minimum and maximum of each
+    coordinate, in lexicographic order."""
+    lhs, rhs = _lp_rows(p.facets)
+    bounds = []
+    for j in range(p.dim):
+        e = [int(i == j) for i in range(p.dim)]
+        lo = lpx.solve(lpx.linear_program(e, lhs, rhs))
+        hi = lpx.solve(lpx.linear_program([-c for c in e], lhs, rhs))
+        bounds.append(range(math.ceil(lo.value), math.floor(-hi.value) + 1))
+    return tuple(pt for pt in itertools.product(*bounds) if contains(p, pt))
+
+
+def _primitive_rows(p):
+    """Primitive normals, each with its tightest offset, sorted."""
+    tight = {}
+    for normal, offset in p.facets:
+        g = math.gcd(*normal)
+        key = tuple(c // g for c in normal)
+        val = Fraction(offset, g)
+        tight[key] = min(val, tight.get(key, val))
+    return HPolytope(p.dim, tuple(sorted(tight.items())))
+
+
+def _random_presentation(rng):
+    """Boxes, simplices and contradictory pairs with duplicate, scaled,
+    redundant and random rows, all normals negated half of the time: bounded
+    or not, empty, flat or full-dimensional."""
+    n = rng.randint(1, 4)
+    rows = []
+    kind = rng.random()
+    if kind < 0.4:
+        for i in range(n):
+            e = [int(i == j) for j in range(n)]
+            rows.append((e, rng.randint(-1, 1)))
+            rows.append(([-c for c in e], rng.randint(-1, 3)))
+    elif kind < 0.75:
+        rows = [([int(i == j) for j in range(n)], rng.randint(-1, 1)) for i in range(n)]
+        rows.append(([-1] * n, rng.randint(0, 4)))
+    elif kind < 0.85:
+        normal = [rng.randint(-2, 2) for _ in range(n - 1)] + [1]
+        offset = rng.randint(-2, 2)
+        rows = [(normal, offset), ([-c for c in normal], -offset - 1)]
+    for _ in range(rng.randint(0, 4)):
+        rows.append(([rng.randint(-2, 2) for _ in range(n)], rng.randint(-1, 6)))
+    if rows and rng.random() < 0.3:
+        normal, offset = rng.choice(rows)
+        rows.append(([2 * c for c in normal], 2 * offset + rng.randint(0, 2)))
+    if rows and rng.random() < 0.3:
+        rows.append(rng.choice(rows))
+    rows = [(r, a) for r, a in rows if any(r)] or [([1] * n, 0)]
+    if rng.random() < 0.5:
+        rows = [([-c for c in r], a) for r, a in rows]
+    rng.shuffle(rows)
+    return hpolytope([r for r, _ in rows], [a for _, a in rows])
+
+
+def test_vertex_answers_match_lp_oracle():
+    rng = random.Random(97)
+    outcomes = set()
+    for _ in range(120):
+        p = _random_presentation(rng)
+        bounded = _lp_bounded(p)
+        assert is_bounded(p) == bounded
+        empty = not lpx.feasible(*_lp_rows(p.facets))
+        if empty or not bounded:
+            expected = "polytope is empty" if empty else "polytope is unbounded"
+            with pytest.raises(InvalidPolytope, match=expected):
+                vertex_data(p)
+            if empty:
+                assert lattice_points(p) == ()
+            else:
+                with pytest.raises(InvalidPolytope, match=expected):
+                    lattice_points(p)
+        else:
+            assert lattice_points(p) == _lp_box_points(p)
+            work = _primitive_rows(p)
+            full = _lp_full_dimensional(work)
+            expected = "canonical" if full else "polytope is not full-dimensional"
+        if expected == "canonical":
+            assert canonicalize(p) == HPolytope(p.dim, _lp_irredundant(work))
+        else:
+            with pytest.raises(InvalidPolytope, match=expected):
+                canonicalize(p)
+        outcomes.add((bounded, expected))
+    assert len(outcomes) == 5

@@ -8,11 +8,8 @@ from latpoly.ratlin import (
     NON_UNIQUE,
     UNIQUE,
     det,
-    dot,
-    dual_basis,
     identity,
     invert_unimodular,
-    is_unimodular_basis,
     mat_mul,
     primitive,
     smith_normal_form,
@@ -43,17 +40,17 @@ def test_primitive_idempotent():
 
 
 def test_unimodular_examples():
-    assert is_unimodular_basis(identity(3)) is True
+    assert abs(det(identity(3))) == 1
     # Edge vectors at the singular vertex of a non-smooth Cayley sum.
-    assert is_unimodular_basis(((-1, 0, 0), (1, 1, -1), (3, 0, -2))) is False
-    assert is_unimodular_basis(((1, 1), (0, 1))) is True
+    assert abs(det(((-1, 0, 0), (1, 1, -1), (3, 0, -2)))) != 1
+    assert abs(det(((1, 1), (0, 1)))) == 1
 
 
 def test_unimodular_dimension_mismatch():
     with pytest.raises(ValueError):
-        is_unimodular_basis(((1, 0, 0), (0, 1, 0)))
+        det(((1, 0, 0), (0, 1, 0)))
     with pytest.raises(ValueError):
-        is_unimodular_basis(((1, 0), (0, 1), (1, 1)))
+        det(((1, 0), (0, 1), (1, 1)))
 
 
 def test_unimodular_invariance_under_permutation_and_sign():
@@ -61,11 +58,11 @@ def test_unimodular_invariance_under_permutation_and_sign():
     for _ in range(100):
         n = rng.randint(2, 5)
         vs = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n)]
-        base = is_unimodular_basis(vs)
+        base = abs(det(vs))
         perm = vs[:]
         rng.shuffle(perm)
         flipped = [tuple(-c for c in v) if rng.random() < 0.5 else v for v in perm]
-        assert is_unimodular_basis(flipped) == base
+        assert abs(det(flipped)) == base
 
 
 def test_det_small_cases():
@@ -116,40 +113,6 @@ def test_snf_random_reconstruction():
                 assert y == 0
             else:
                 assert y % x == 0
-
-
-def test_dual_basis_examples():
-    assert dual_basis(identity(3)) == identity(3)
-    assert dual_basis(((1, 0), (1, 1))) == ((1, -1), (0, 1))
-    assert dual_basis(((0, 1, 0), (0, 0, 1), (1, 1, 1))) == (
-        (-1, 1, 0),
-        (-1, 0, 1),
-        (1, 0, 0),
-    )
-
-
-def test_dual_basis_round_trip():
-    rng = random.Random(31)
-    for _ in range(100):
-        n = rng.randint(1, 5)
-        # Random unimodular matrix from elementary row operations.
-        m = [list(r) for r in identity(n)]
-        for _ in range(8):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i == j:
-                continue
-            c = rng.choice((-2, -1, 1, 2))
-            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-        vs = tuple(tuple(r) for r in m)
-        us = dual_basis(vs)
-        for i, vi in enumerate(vs):
-            for j, uj in enumerate(us):
-                assert dot(vi, uj) == (1 if i == j else 0)
-
-
-def test_dual_basis_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        dual_basis(((2, 0), (0, 1)))
 
 
 def test_invert_unimodular():
