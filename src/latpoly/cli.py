@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -69,7 +68,7 @@ def _build_parser() -> _Parser:
     p_batch = sub.add_parser("batch", help="analyze every polytope file in a directory")
     p_batch.add_argument("directory")
     p_batch.add_argument("--out", required=True)
-    p_batch.add_argument("--threads", type=int, default=None)
+    p_batch.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -259,11 +258,10 @@ def _cmd_batch(args) -> int:
     if not directory.is_dir():
         raise _UsageError(f"{args.directory} is not a directory")
     paths = sorted(directory.glob("*.json"))
-    threads = args.threads or os.cpu_count() or 1
-    if threads < 1:
+    if args.threads < 1:
         raise _UsageError("--threads must be positive")
     if paths:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(_batch_entry, paths))
     else:
         results = []

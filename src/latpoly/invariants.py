@@ -15,10 +15,11 @@ from .errors import InvalidPolytope, InvariantViolation, TheoremViolation
 from .polytope import (
     HPolytope,
     VertexData,
+    _enumerable,
+    _lattice_walk,
     _q,
     contains,
     is_smooth,
-    lattice_points,
     shrink,
     vertex_data,
     vertices,
@@ -27,10 +28,15 @@ from .ratlin import dot
 
 
 def codegree(p: HPolytope) -> int:
-    """Smallest k such that the k-th dilate has an interior lattice point."""
-    for k in range(1, p.dim + 2):
-        if lattice_points(shrink(p, k, 1)):
-            return k
+    """Smallest k such that the k-th dilate has an interior lattice point.
+
+    p is validated once: a shrink keeps the normals, so it is bounded exactly
+    when p is, and the walk for each k stops at its first point.
+    """
+    if _enumerable(p):
+        for k in range(1, p.dim + 2):
+            if next(_lattice_walk(shrink(p, k, 1)), None) is not None:
+                return k
     raise InvariantViolation(f"no interior lattice point up to dilation {p.dim + 1}")
 
 

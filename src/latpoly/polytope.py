@@ -13,6 +13,11 @@ vertices the subset loop finds.  Linear programs (lpx) remain only in
 reduce_vertices, which keeps the extreme points of a point set, and in
 is_empty, which runs on unbounded presentations alone to tell an empty one
 apart.
+
+Lattice points are enumerated fibre by fibre, as PALP does (Kreuzer and
+Skarke, Comput. Phys. Commun. 157, 2004): a depth-first walk fixes x_1,
+..., x_n in turn, each half space bounding the next coordinate, and every
+point it reaches is a lattice point of the polytope.
 """
 
 from __future__ import annotations
@@ -241,27 +246,76 @@ def facets(q: VPolytope) -> HPolytope:
     return HPolytope(n, tuple(sorted(found)))
 
 
-def lattice_points(p: HPolytope) -> tuple[tuple[int, ...], ...]:
-    """Integer points of a bounded presentation, in lexicographic order.
-
-    The points of the box spanned by the vertices are tested one by one.
-    """
-    n = p.dim
-    if n < 1:
+def _enumerable(p: HPolytope) -> bool:
+    """Validate p for lattice point enumeration: True when p is bounded,
+    False when it is empty (and unbounded), InvalidPolytope otherwise."""
+    if p.dim < 1:
         raise InvalidPolytope("ambient dimension must be at least 1")
-    if not is_bounded(p):
-        if is_empty(p):
-            return ()
-        raise InvalidPolytope("polytope is unbounded")
+    if is_bounded(p):
+        return True
+    if is_empty(p):
+        return False
+    raise InvalidPolytope("polytope is unbounded")
+
+
+def _lattice_walk(p: HPolytope):
+    """Integer points of a bounded presentation, generated in lexicographic
+    order by a depth-first walk over the coordinates.
+
+    Each half space <a, x> >= -b bounds x_k by
+    a_k x_k >= -b - (sum of a_j x_j over the fixed j < k) - S_k,
+    where S_k is the largest value of the terms j > k over the integer box
+    of the vertex coordinates.  For the last coordinate in which a row has a
+    nonzero coefficient S_k is 0, so that bound is the row itself: every
+    point the walk reaches satisfies every half space.
+    """
     points = _vertex_points(p)
     if not points:
-        return ()
-    bounds = [
-        range(math.ceil(min(col)), math.floor(max(col)) + 1) for col in zip(*points)
-    ]
-    return tuple(
-        pt for pt in itertools.product(*bounds) if contains(p, pt)
-    )
+        return
+    n = p.dim
+    lo = [math.ceil(min(col)) for col in zip(*points)]
+    hi = [math.floor(max(col)) for col in zip(*points)]
+    # At integer points <a, x> >= -b is <a, x> >= -floor(b).
+    rows = [(normal, math.floor(offset)) for normal, offset in p.facets]
+    # levels[k]: (row index, a_k, -b - S_k) for each row with a_k != 0.
+    levels = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(rows):
+        for k in range(n):
+            if a[k]:
+                later = zip(a[k + 1 :], lo[k + 1 :], hi[k + 1 :])
+                levels[k].append((i, a[k], -b - sum(max(c * l, c * h) for c, l, h in later)))
+
+    def fibre(k, partial):
+        low, high = lo[k], hi[k]
+        for i, a, c in levels[k]:
+            r = c - partial[i]
+            if a > 0:
+                r = -(-r // a)
+                if r > low:
+                    low = r
+            else:
+                r //= a
+                if r < high:
+                    high = r
+        return range(low, high + 1)
+
+    def walk(k, prefix, partial):
+        if k == n - 1:
+            for v in fibre(k, partial):
+                yield prefix + (v,)
+            return
+        for v in fibre(k, partial):
+            extended = [s + a[k] * v for s, (a, _) in zip(partial, rows)]
+            yield from walk(k + 1, prefix + (v,), extended)
+
+    yield from walk(0, (), [0] * len(rows))
+
+
+def lattice_points(p: HPolytope) -> tuple[tuple[int, ...], ...]:
+    """Integer points of a bounded presentation, in lexicographic order,
+    enumerated fibre by fibre (see _lattice_walk).  An empty presentation
+    has none; a nonempty unbounded one is rejected."""
+    return tuple(_lattice_walk(p)) if _enumerable(p) else ()
 
 
 def shrink(p: HPolytope, a: int, b: int) -> HPolytope:

@@ -308,6 +308,10 @@ def test_batch_deterministic_across_threads(tmp_path):
     assert main(["batch", str(indir), "--out", str(out1), "--threads", "1"]) == 0
     assert main(["batch", str(indir), "--out", str(out8), "--threads", "8"]) == 0
     assert out1.read_bytes() == out8.read_bytes()
+    default = tmp_path / "default.json"
+    assert main(["batch", str(indir), "--out", str(default)]) == 0
+    assert default.read_bytes() == out1.read_bytes()
+    assert main(["batch", str(indir), "--out", str(default), "--threads", "0"]) == 1
 
 
 def test_batch_empty_directory(tmp_path):

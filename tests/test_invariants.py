@@ -14,7 +14,7 @@ from latpoly.invariants import (
     spanned_at_vertex,
     vertex_shift,
 )
-from latpoly.polytope import facets, lattice_points, shrink, vertex_data
+from latpoly.polytope import facets, hpolytope, lattice_points, shrink, vertex_data
 
 
 def simplex(d, n):
@@ -29,6 +29,13 @@ def test_codegree_examples():
     assert codegree(simplex(1, 3)) == 4
     assert codegree(simplex(2, 4)) == 3
     assert codegree(blowup(4, 1, 3)) == 1
+
+
+def test_codegree_rejects_unbounded():
+    # A quadrant, and a flat ray whose every shrink is empty.
+    for normals, offsets in (([[1, 0], [0, 1]], [0, 0]), ([[1, 0], [-1, 0], [0, 1]], [0, 0, 0])):
+        with pytest.raises(InvalidPolytope, match="polytope is unbounded"):
+            codegree(hpolytope(normals, offsets))
 
 
 def test_degree_examples():

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from latpoly import lpx
-from latpoly.errors import InvalidPolytope
+from latpoly.errors import InvalidPolytope, InvariantViolation
+from latpoly.invariants import codegree
 from latpoly.polytope import (
     HPolytope,
     VPolytope,
@@ -350,11 +351,11 @@ def _primitive_rows(p):
     return HPolytope(p.dim, tuple(sorted(tight.items())))
 
 
-def _random_presentation(rng):
+def _random_presentation(rng, max_dim=4):
     """Boxes, simplices and contradictory pairs with duplicate, scaled,
     redundant and random rows, all normals negated half of the time: bounded
     or not, empty, flat or full-dimensional."""
-    n = rng.randint(1, 4)
+    n = rng.randint(1, max_dim)
     rows = []
     kind = rng.random()
     if kind < 0.4:
@@ -412,3 +413,87 @@ def test_vertex_answers_match_lp_oracle():
                 canonicalize(p)
         outcomes.add((bounded, expected))
     assert len(outcomes) == 5
+
+
+# Box-and-filter reference for the fibre walk in lattice_points.
+
+
+def _box_scan(p):
+    """Every integer point of the box spanned by the vertices of a bounded
+    presentation, tested against every half space, in lexicographic order."""
+    if is_empty(p):
+        return ()
+    verts = vertices(p).vertices
+    bounds = [range(math.ceil(min(c)), math.floor(max(c)) + 1) for c in zip(*verts)]
+    return tuple(pt for pt in itertools.product(*bounds) if contains(p, pt))
+
+
+def _flip(p, signs):
+    """The image of p under x -> (s_1 x_1, ..., s_n x_n)."""
+    flipped = [(tuple(s * c for s, c in zip(signs, normal)), offset) for normal, offset in p.facets]
+    return HPolytope(p.dim, tuple(flipped))
+
+
+def _slab(rng):
+    """A box cut by a slab c <= <a, x> <= c + w of width w <= 1: many
+    prefixes have a real but no integer interval in a later coordinate.  With
+    even coefficients, an odd c and w = 0 the slab holds no lattice point at
+    all, though it may hold real points."""
+    n = rng.randint(2, 4)
+    rows = []
+    for i in range(n):
+        e = [int(i == j) for j in range(n)]
+        rows.append((e, rng.randint(0, 2)))
+        rows.append(([-c for c in e], rng.randint(1, 3)))
+    if rng.random() < 0.3:
+        a = [2 * rng.randint(-1, 1) for _ in range(n)]
+        a[rng.randrange(1, n)] = 2
+        c, w = 2 * rng.randint(-1, 1) + 1, 0
+    else:
+        a = [rng.randint(-3, 3) for _ in range(n)]
+        a[rng.randrange(1, n)] = rng.choice((-3, -2, 2, 3))
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        w = rng.choice((0, Fraction(1, 2), 1))
+    rows += [(a, -c), ([-x for x in a], c + w)]
+    return hpolytope([r for r, _ in rows], [b for _, b in rows])
+
+
+def _members():
+    return (
+        [simplex(d, n) for n in range(1, 5) for d in (1, 3)]
+        + [blowup(d, lam, n) for n in (2, 3) for d, lam in ((3, 1), (4, 2))]
+        + [cube(n) for n in (1, 3, 4)]
+    )
+
+
+def test_lattice_points_match_box_scan():
+    rng = random.Random(151)
+    randoms = []
+    while len(randoms) < 30:
+        p = _random_presentation(rng, 5)
+        if math.comb(len(p.facets), p.dim) <= 126 and is_bounded(p):
+            shifts = [Fraction(rng.randint(-3, 3), rng.randint(2, 4)) for _ in p.facets]
+            shifted = tuple((a, b + t) for (a, b), t in zip(p.facets, shifts))
+            randoms.append(HPolytope(p.dim, shifted))
+    assert {p.dim for p in randoms} == {1, 2, 3, 4, 5}
+    shrinks = [shrink(p, k, b) for p in _members() for k, b in ((1, 1), (2, 1), (3, 1))]
+    slabs = [_slab(rng) for _ in range(8)]
+    cases = slabs + randoms + shrinks
+    cases += [_flip(p, [rng.choice((1, -1)) for _ in range(p.dim)]) for p in cases]
+    sizes = []
+    for p in cases:
+        points = lattice_points(p)
+        assert points == _box_scan(p), p
+        sizes.append(len(points))
+    assert sizes.count(0) > 20 and max(sizes) > 100
+    assert sum(not size and not is_empty(p) for p, size in zip(slabs, sizes)) >= 2
+
+    members = _members()
+    members += [_flip(p, [rng.choice((1, -1)) for _ in range(p.dim)]) for p in members]
+    for p in members + [p for p in randoms if p.dim <= 3 and not is_empty(p)]:
+        first = next((k for k in range(1, p.dim + 2) if _box_scan(shrink(p, k, 1))), None)
+        if first is None:
+            with pytest.raises(InvariantViolation):
+                codegree(p)
+        else:
+            assert codegree(p) == first, p
