@@ -4,11 +4,9 @@ Two-phase primal simplex over Fractions with Bland's anti-cycling rule.
 Problems are stated as: minimize c . x subject to A x >= b, x free.
 Free variables are split as x = x+ - x-, surplus variables close the gap.
 
-Callers: invariants.qcodegree (the rational codegree is a true optimum),
-polytope.reduce_vertices (extreme points of a vertex list, for files with a
-vrep only and for cayley.build), and polytope.is_empty, which runs only on
-unbounded presentations to tell an empty one apart.  Every other geometric
-question is answered exactly from the vertices (see polytope).
+Callers: invariants.qcodegree alone (the rational codegree is a true
+optimum).  Every other geometric question is answered exactly by the double
+description in polytope.
 """
 
 from __future__ import annotations

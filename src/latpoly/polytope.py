@@ -2,17 +2,14 @@
 
 A facet presentation lists pairs (normal, offset) encoding the half space
 <normal, x> >= -offset with a primitive integer inner normal.  Vertex
-presentations list exact rational points.  Conversions use brute force over
-n-element subsets, which is exact and fast at the intended scale (dimension
-at most 6, a few dozen facets or vertices).
+presentations list exact rational points.
 
-Boundedness is decided from the normals alone (is_bounded).  Everything
-else about a bounded facet presentation (emptiness, dimension, which half
-spaces are facets, the box holding its lattice points) is read off the
-vertices the subset loop finds.  Linear programs (lpx) remain only in
-reduce_vertices, which keeps the extreme points of a point set, and in
-is_empty, which runs on unbounded presentations alone to tell an empty one
-apart.
+Every conversion reads the rays of a cone from one exact double description
+routine (_extreme_rays).  The cone {(x, t) : t >= 0, <normal, x> + offset t
+>= 0} over a facet presentation has the vertices, with their incident half
+spaces, as its rays with t > 0; emptiness, boundedness, dimension, facets
+and the lattice box are read off them.  The cone {(a, b) : <a, v> + b >= 0}
+over a point set has the facets of its hull as its rays.
 
 Lattice points are enumerated fibre by fibre, as PALP does (Kreuzer and
 Skarke, Comput. Phys. Commun. 157, 2004): a depth-first walk fixes x_1,
@@ -29,10 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from . import lpx
 from .errors import InvalidPolytope
 from .ratlin import (
-    UNIQUE,
     det,
     dot,
     mat_mul,
@@ -88,35 +83,81 @@ def contains(p: HPolytope, x: Sequence) -> bool:
     return all(dot(normal, x) >= -offset for normal, offset in p.facets)
 
 
+def _join(a, x: Sequence[int], b, y: Sequence[int]) -> tuple[int, ...]:
+    """The primitive form of a x - b y."""
+    return primitive([a * s - b * t for s, t in zip(x, y)])
+
+
+def _extreme_rays(rows: Sequence[Sequence[int]], dim: int):
+    """Double description (Motzkin et al. 1953) of the integer cone
+    {y in R^dim : <r, y> >= 0 for all rows}: (rays, lineality), the cone
+    being the span of `lineality` plus the cone over the rays (y, zero), y
+    primitive and zero the bit mask of the rows tight at y.
+
+    Rows are added one by one to R^dim.  A row that meets a lineality vector
+    l turns l into a ray and moves the rest into the row's hyperplane along
+    l.  Otherwise the rays on its nonnegative side stay and each adjacent
+    pair across it is joined: two rays are adjacent exactly when no third is
+    tight on every row both are tight on (Fukuda and Prodon, "Double
+    description method revisited", 1996, Proposition 7).
+    """
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []
+    for j, row in enumerate(rows):
+        bit = 1 << j
+        vals = [dot(row, y) for y, _ in rays]
+        hit = next((l for l in lineality if dot(row, l)), None)
+        if hit is not None:
+            h = dot(row, hit)
+            lineality = [_join(h, l, dot(row, l), hit) for l in lineality if l is not hit]
+            hit = hit if h > 0 else tuple(-c for c in hit)
+            rays = [(_join(abs(h), y, v, hit), zero | bit) for (y, zero), v in zip(rays, vals)]
+            rays.append((hit, bit - 1))
+            continue
+        kept = [(y, zero | bit if v == 0 else zero) for (y, zero), v in zip(rays, vals) if v >= 0]
+        pos = [(y, zero, v) for (y, zero), v in zip(rays, vals) if v > 0]
+        neg = [(y, zero, v) for (y, zero), v in zip(rays, vals) if v < 0]
+        masks = [zero for _, zero in rays]
+        least = dim - len(lineality) - 2
+        for p, zp, vp in pos:
+            for q, zq, vq in neg:
+                common = zp & zq
+                # p and q are tight on common; an adjacent pair has no third.
+                if common.bit_count() >= least and sum(common & z == common for z in masks) == 2:
+                    kept.append((_join(vp, q, vq, p), common | bit))
+        rays = kept
+    return rays, lineality
+
+
+def _lifted(points: Sequence[Point]) -> list[tuple[int, ...]]:
+    """The integer rows (l v, l) of the points v, l clearing v's denominators."""
+    scales = [math.lcm(*(c.denominator for c in v)) for v in points]
+    return [tuple(int(c * l) for c in v) + (l,) for v, l in zip(points, scales)]
+
+
+def _cone_over(facets: Sequence[Facet], dim: int):
+    """_extreme_rays of the cone {(x, t) : t >= 0, <a, x> + b t >= 0} over
+    the half spaces (a, b).  Bit i of a zero mask is half space i."""
+    rows = [tuple(b.denominator * c for c in a) + (b.numerator,) for a, b in facets]
+    return _extreme_rays(rows + [(0,) * dim + (1,)], dim + 1)
+
+
+def _point(y: tuple[int, ...]) -> Point:
+    """The vertex x of a ray (x t, t) of the cone over a facet presentation."""
+    t = y[-1]
+    return y[:-1] if t == 1 else tuple(_q(Fraction(c, t)) for c in y[:-1])
+
+
 def is_empty(p: HPolytope) -> bool:
-    lhs = [list(normal) for normal, _ in p.facets]
-    return not lpx.feasible(lhs, [-offset for _, offset in p.facets])
-
-
-def _cofactor(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Integer vector orthogonal to n-1 integer rows of length n, by cofactor
-    expansion; zero exactly when the rows are linearly dependent."""
-    n = len(rows) + 1
-    return tuple((-1) ** j * det([r[:j] + r[j + 1 :] for r in rows]) for j in range(n))
+    """True iff no ray of the cone over p has t > 0."""
+    return not any(y[-1] for y, _ in _cone_over(p.facets, p.dim)[0])
 
 
 def is_bounded(p: HPolytope) -> bool:
-    """True iff the recession cone {x : <rho_i, x> >= 0 for all i} is {0}.
-
-    With normals of rank n the cone is pointed, so it is {0} exactly when it
-    has no extreme ray; an extreme ray is cut out by n-1 independent normals,
-    so it spans their cofactor vector, which lies in the cone up to sign.
-    """
-    normals = [normal for normal, _ in p.facets]
-    if rank(normals) < p.dim:
-        return False
-    for subset in itertools.combinations(normals, p.dim - 1):
-        ray = _cofactor(subset)
-        if any(ray):
-            vals = [dot(normal, ray) for normal in normals]
-            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-                return False
-    return True
+    """True iff the recession cone {x : <rho_i, x> >= 0 for all i} is {0},
+    that is iff it has neither lineality nor an extreme ray."""
+    rays, lineality = _extreme_rays([normal for normal, _ in p.facets], p.dim)
+    return not rays and not lineality
 
 
 def canonicalize(p: HPolytope) -> HPolytope:
@@ -152,41 +193,26 @@ def canonicalize(p: HPolytope) -> HPolytope:
     return HPolytope(p.dim, kept)
 
 
-def _vertex_points(p: HPolytope) -> list[Point]:
-    """Sorted points of p cut out by n listed hyperplanes with independent
-    normals: the vertices when p is bounded, none when p is empty."""
-    n = p.dim
-    points = set()
-    for subset in itertools.combinations(range(len(p.facets)), n):
-        a = [p.facets[i][0] for i in subset]
-        b = [-p.facets[i][1] for i in subset]
-        out = solve_exact(a, b)
-        if out.status != UNIQUE:
-            continue
-        x = tuple(_q(c) for c in out.point)
-        if contains(p, x):
-            points.add(x)
-    return sorted(points)
-
-
 @lru_cache(maxsize=None)
 def vertex_data(p: HPolytope) -> tuple[VertexData, ...]:
     """All vertices with their incident facet sets, sorted by point.
 
     Works on any bounded nonempty facet presentation, canonical or not
-    (shrunk presentations keep redundant hyperplanes on purpose).
+    (shrunk presentations keep redundant hyperplanes on purpose): the rays
+    with t > 0 of the cone over p, which has no others when p is bounded.
     """
     n = p.dim
     if n < 1:
         raise InvalidPolytope("ambient dimension must be at least 1")
-    if not is_bounded(p):
-        raise InvalidPolytope("polytope is empty" if is_empty(p) else "polytope is unbounded")
-    points = _vertex_points(p)
-    if not points:
+    rays, lineality = _cone_over(p.facets, n)
+    found = sorted((_point(y), zero) for y, zero in rays if y[-1])
+    if not found:
         raise InvalidPolytope("polytope is empty")
+    if lineality or len(found) < len(rays):
+        raise InvalidPolytope("polytope is unbounded")
     data = []
-    for x in points:
-        incident = tuple(i for i, (normal, offset) in enumerate(p.facets) if dot(normal, x) == -offset)
+    for x, zero in found:
+        incident = tuple(i for i in range(len(p.facets)) if zero >> i & 1)
         u = None
         if len(incident) == n:
             normals = [p.facets[i][0] for i in incident]
@@ -209,40 +235,25 @@ def affine_dim(points: Sequence[Point]) -> int:
     return rank(diffs) if diffs else 0
 
 
-def _integer_row(row: Sequence) -> tuple[int, ...]:
-    fracs = [Fraction(x) for x in row]
-    scale = math.lcm(*(f.denominator for f in fracs))
-    return tuple(int(f * scale) for f in fracs)
-
-
 @lru_cache(maxsize=None)
 def facets(q: VPolytope) -> HPolytope:
     """Exact convex hull of a full-dimensional vertex presentation.
 
-    Every n-element subset of vertices spanning a hyperplane is tested as a
-    candidate facet; those with all vertices on one side survive.  The output
-    is canonical (primitive inward normals, irredundant, sorted).
+    The facets are the extreme rays (a, b) of the cone of valid inequalities
+    {(a, b) : <a, v> + b >= 0 for every vertex v}, whose lineality space is
+    the equations of the affine hull.  The output is canonical (primitive
+    inward normals, irredundant, sorted).
     """
     n = q.dim
     if n < 1:
         raise InvalidPolytope("ambient dimension must be at least 1")
-    adim = affine_dim(q.vertices)
-    if adim != n:
-        raise InvalidPolytope(f"affine hull has dimension {adim}, expected {n}")
-    verts = q.vertices
-    found = set()
-    for subset in itertools.combinations(range(len(verts)), n):
-        base = verts[subset[0]]
-        normal = _cofactor([_integer_row(vsub(verts[i], base)) for i in subset[1:]])
-        if not any(normal):
-            continue  # subset does not span a hyperplane
-        normal = primitive(normal)
-        level = dot(normal, base)
-        vals = [dot(normal, v) for v in verts]
-        if all(v >= level for v in vals):
-            found.add((normal, _q(-level)))
-        elif all(v <= level for v in vals):
-            found.add((tuple(-c for c in normal), _q(level)))
+    rays, lineality = _extreme_rays(_lifted(q.vertices), n + 1)
+    if lineality:
+        raise InvalidPolytope(f"affine hull has dimension {n - len(lineality)}, expected {n}")
+    found = []
+    for y, _ in rays:
+        g = math.gcd(*y[:-1])
+        found.append((tuple(c // g for c in y[:-1]), _q(Fraction(y[-1], g))))
     return HPolytope(n, tuple(sorted(found)))
 
 
@@ -269,10 +280,10 @@ def _lattice_walk(p: HPolytope):
     nonzero coefficient S_k is 0, so that bound is the row itself: every
     point the walk reaches satisfies every half space.
     """
-    points = _vertex_points(p)
+    n = p.dim
+    points = [_point(y) for y, _ in _cone_over(p.facets, n)[0] if y[-1]]
     if not points:
         return
-    n = p.dim
     lo = [math.ceil(min(col)) for col in zip(*points)]
     hi = [math.floor(max(col)) for col in zip(*points)]
     # At integer points <a, x> >= -b is <a, x> >= -floor(b).
@@ -368,35 +379,26 @@ def normal_fan_equal(p: HPolytope, q: HPolytope) -> bool:
 
 
 def reduce_vertices(points: Sequence[Point], dim: int) -> VPolytope:
-    """Deduplicate and keep only extreme points of the given set."""
+    """Deduplicate and keep only extreme points of the given set.
+
+    The rays of the cone over the points are the facets of their hull within
+    its affine hull (whose equations are the lineality).  A point is extreme
+    exactly when no other point lies on every facet through it, since points
+    of the set span the smallest face holding it.
+    """
     uniq = sorted({tuple(_q(c) for c in pt) for pt in points})
     if any(len(pt) != dim for pt in uniq):
         raise ValueError("point length does not match the ambient dimension")
     if len(uniq) <= 1:
         return VPolytope(dim, tuple(uniq))
+    zeros = [zero for _, zero in _extreme_rays(_lifted(uniq), dim + 1)[0]]
     keep = []
     for i, pt in enumerate(uniq):
-        others = uniq[:i] + uniq[i + 1 :]
-        k = len(others)
-        lhs = []
-        rhs = []
-        for c in range(dim):
-            row = [o[c] for o in others]
-            lhs.append(row)
-            rhs.append(pt[c])
-            lhs.append([-x for x in row])
-            rhs.append(-pt[c])
-        ones = [1] * k
-        lhs.append(ones)
-        rhs.append(1)
-        lhs.append([-1] * k)
-        rhs.append(-1)
-        for j in range(k):
-            e = [0] * k
-            e[j] = 1
-            lhs.append(e)
-            rhs.append(0)
-        if not lpx.feasible(lhs, rhs):
+        meet = -1
+        for zero in zeros:
+            if zero >> i & 1:
+                meet &= zero
+        if meet == 1 << i:
             keep.append(pt)
     return VPolytope(dim, tuple(keep))
 

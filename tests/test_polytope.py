@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 
 from latpoly import lpx
+from latpoly.cayley import build, segment
 from latpoly.errors import InvalidPolytope, InvariantViolation
 from latpoly.invariants import codegree
 from latpoly.polytope import (
     HPolytope,
     VPolytope,
+    _q,
+    affine_dim,
     apply_unimodular,
     canonicalize,
     facets,
@@ -27,6 +30,7 @@ from latpoly.polytope import (
     vertex_data,
     vertices,
 )
+from latpoly.ratlin import UNIQUE, det, dot, primitive, solve_exact, vsub
 
 # Small builders used across the suite.
 
@@ -119,14 +123,27 @@ def test_facets_collinear_rejected():
 
 
 def test_round_trip_facets_vertices():
-    for p in (simplex(1, 3), simplex(2, 2), blowup(4, 1, 3), cube(3)):
+    for p in (simplex(1, 3), simplex(2, 2), blowup(4, 1, 3), cube(3), cube(5), _cross(5)):
         assert facets(vertices(p)) == p
+
+
+def _padded(p, rows, rng):
+    """p with random far-away rows appended up to `rows` half spaces."""
+    extra = []
+    while len(p.facets) + len(extra) < rows:
+        normal = tuple(rng.randint(-2, 2) for _ in range(p.dim))
+        if any(normal):
+            extra.append((normal, rng.randint(30, 50)))
+    return HPolytope(p.dim, p.facets + tuple(extra))
 
 
 def test_lattice_points_counts():
     assert len(lattice_points(simplex(1, 2))) == 3
     assert len(lattice_points(simplex(2, 2))) == 6
     assert lattice_points(shrink(simplex(2, 2), 1, 1)) == ()
+    # [0, 2]^5 with six redundant far-away rows.
+    box = _padded(shrink(cube(5), 2, 0), 16, random.Random(5))
+    assert len(lattice_points(box)) == 243
 
 
 def test_lattice_points_unbounded_rejected():
@@ -263,6 +280,9 @@ def test_canonicalize_drops_redundant_and_sorts():
     raw = hpolytope([[0, 1], [1, 0], [-1, -1], [2, 2], [1, 1]], [0, 0, 1, 5, 2])
     p = canonicalize(raw)
     assert p == simplex(1, 2)
+    rng = random.Random(7)
+    for n in (5, 6):
+        assert canonicalize(_padded(simplex(1, n), 21, rng)) == simplex(1, n)
 
 
 def test_canonicalize_rejects_degenerate_inputs():
@@ -497,3 +517,188 @@ def test_lattice_points_match_box_scan():
                 codegree(p)
         else:
             assert codegree(p) == first, p
+
+
+# Subset-loop and LP references for the double description conversions.
+
+
+def _cofactor(rows):
+    """Integer vector orthogonal to n-1 integer rows of length n, by cofactor
+    expansion; zero exactly when the rows are linearly dependent."""
+    n = len(rows) + 1
+    return tuple((-1) ** j * det([r[:j] + r[j + 1 :] for r in rows]) for j in range(n))
+
+
+def _integer_row(row):
+    fracs = [Fraction(x) for x in row]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    return tuple(int(f * scale) for f in fracs)
+
+
+def _subset_vertices(p):
+    """Sorted points of p cut out by n listed hyperplanes with independent
+    normals: the vertices when p is bounded, none when p is empty."""
+    points = set()
+    for subset in itertools.combinations(p.facets, p.dim):
+        out = solve_exact([a for a, _ in subset], [-b for _, b in subset])
+        if out.status == UNIQUE:
+            x = tuple(_q(c) for c in out.point)
+            if contains(p, x):
+                points.add(x)
+    return sorted(points)
+
+
+def _subset_facets(q):
+    """Every hyperplane through n of the points with all points on one side."""
+    found = set()
+    for subset in itertools.combinations(q.vertices, q.dim):
+        base = subset[0]
+        normal = _cofactor([_integer_row(vsub(v, base)) for v in subset[1:]])
+        if not any(normal):
+            continue  # subset does not span a hyperplane
+        normal = primitive(normal)
+        level = dot(normal, base)
+        vals = [dot(normal, v) for v in q.vertices]
+        if all(v >= level for v in vals):
+            found.add((normal, _q(-level)))
+        elif all(v <= level for v in vals):
+            found.add((tuple(-c for c in normal), _q(level)))
+    return HPolytope(q.dim, tuple(sorted(found)))
+
+
+def _lp_extreme_points(points, dim):
+    """The distinct points that are no convex combination of the others,
+    one LP each, in sorted order."""
+    uniq = sorted(set(points))
+    if len(uniq) <= 1:
+        return tuple(uniq)
+    keep = []
+    for i, pt in enumerate(uniq):
+        others = uniq[:i] + uniq[i + 1 :]
+        k = len(others)
+        lhs, rhs = [], []
+        for c in range(dim):
+            row = [o[c] for o in others]
+            lhs += [row, [-x for x in row]]
+            rhs += [pt[c], -pt[c]]
+        lhs += [[1] * k, [-1] * k] + [[int(a == b) for b in range(k)] for a in range(k)]
+        rhs += [1, -1] + [0] * k
+        if not lpx.feasible(lhs, rhs):
+            keep.append(pt)
+    return tuple(keep)
+
+
+def _cross(n):
+    rows = list(itertools.product((-1, 1), repeat=n))
+    return canonicalize(hpolytope(rows, [1] * len(rows)))
+
+
+def _non_simple():
+    """Polytopes with vertices on more than n facets: cross-polytopes,
+    pyramids over a square and a cube, and Lawrence prisms with a segment
+    of length 0."""
+    square = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1))
+    cube_pyramid = tuple(v + (0,) for v in vertices(cube(3)).vertices) + ((0, 1, 1, 1),)
+    point = VPolytope(1, ((0,),))
+    prisms = [
+        build([segment(2), point, segment(1)], 1),
+        build([segment(1), segment(3), point, segment(2)], 1),
+    ]
+    pyramids = [VPolytope(3, square), VPolytope(4, cube_pyramid)]
+    return [_cross(3), _cross(4)] + [facets(q) for q in pyramids + prisms]
+
+
+def _cayley_builds():
+    """Cayley sums of segments, triangles and rectangles, orders 1 and 2."""
+    tri = lambda d: VPolytope(2, ((0, 0), (d, 0), (0, d)))
+    rect = lambda a, b: VPolytope(2, ((0, 0), (a, 0), (0, b), (a, b)))
+    return [
+        build([segment(3), segment(1), segment(2)], 2),
+        build([tri(1), tri(2), tri(3)], 1),
+        build([tri(2), tri(1)], 2),
+        build([rect(1, 1), rect(2, 1), rect(3, 2)], 1),
+        build([rect(2, 1), rect(1, 3)], 2),
+    ]
+
+
+def test_vertex_data_matches_subset_reference():
+    rng = random.Random(211)
+    randoms = []
+    while len(randoms) < 40:
+        p = _random_presentation(rng, 5)
+        if math.comb(len(p.facets), p.dim) <= 252 and is_bounded(p):
+            shifts = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in p.facets]
+            randoms.append(HPolytope(p.dim, tuple((a, _q(b + t)) for (a, b), t in zip(p.facets, shifts))))
+    non_simple = _non_simple()
+    cayley = [facets(q) for q in _cayley_builds()]
+    shrinks = [shrink(p, k, b) for p in _members() + non_simple for k, b in ((1, 1), (2, 1), (2, 3))]
+    empties = 0
+    for p in randoms + non_simple + cayley + shrinks:
+        expected = _subset_vertices(p)
+        if not expected:
+            with pytest.raises(InvalidPolytope, match="polytope is empty"):
+                vertex_data(p)
+            empties += 1
+            continue
+        data = vertex_data(p)
+        assert [v.point for v in data] == expected, p
+        for v in data:
+            tight = tuple(i for i, (a, b) in enumerate(p.facets) if dot(a, v.point) == -b)
+            assert v.incident == tight, (p, v)
+    assert empties > 10
+    assert all(any(len(v.incident) > p.dim for v in vertex_data(p)) for p in non_simple)
+    rational = [c for p in randoms if not is_empty(p) for v in vertex_data(p) for c in v.point]
+    assert any(isinstance(c, Fraction) for c in rational)
+
+
+def test_facets_match_subset_reference():
+    rng = random.Random(223)
+    sets = [vertices(p) for p in _non_simple() + _members() if p.dim > 1] + _cayley_builds()
+    randoms = []
+    while len(randoms) < 40:  # full-dimensional, some points not extreme
+        n = rng.randint(2, 4)
+        scale = rng.randint(1, 3) if rng.random() < 0.5 else 1
+        size = rng.randint(n + 1, 9)
+        pts = {tuple(_q(Fraction(rng.randint(-4, 4), scale)) for _ in range(n)) for _ in range(size)}
+        if affine_dim(list(pts)) == n:
+            randoms.append(VPolytope(n, tuple(sorted(pts))))
+    sets += randoms
+    for q in sets:
+        assert facets(q) == _subset_facets(q), q
+    assert any(isinstance(b, Fraction) for q in sets for _, b in facets(q).facets)
+
+
+def _flat(rng, n, r, k, rational):
+    """k points in an r-dimensional affine subspace of R^n."""
+    base = [Fraction(rng.randint(-3, 3), rng.randint(1, 3) if rational else 1) for _ in range(n)]
+    dirs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+    return [
+        tuple(_q(b + sum(rng.randint(-2, 2) * d[c] for d in dirs)) for c, b in enumerate(base))
+        for _ in range(k)
+    ]
+
+
+def test_reduce_vertices_matches_lp_reference():
+    rng = random.Random(227)
+    sets = [
+        ([(0, 0, 0), (2, 4, 6), (1, 2, 3), (3, 6, 9), (2, 4, 6)], 3),  # a segment in 3D
+        # a triangle in 4D, with points inside and on an edge
+        ([(0, 0, 0, 0), (4, 0, 2, 0), (0, 4, 0, 2), (2, 2, 1, 1), (1, 1, 1, 0), (2, 0, 1, 0)], 4),
+        ([(Fraction(1, 2), 3)], 2),
+        ([(1, 1), (1, 1)], 2),
+        ([()], 0),
+        ([(), ()], 0),
+    ]
+    for _ in range(36):
+        n = rng.randint(1, 4)
+        pts = _flat(rng, n, rng.randint(1, n), rng.randint(2, 6), rng.random() < 0.4)
+        pts += [rng.choice(pts) for _ in range(rng.randint(0, 2))]  # duplicates
+        if rng.random() < 0.5:  # an interior point, the centroid
+            pts.append(tuple(_q(sum(Fraction(c) for c in col) / len(pts)) for col in zip(*pts)))
+        sets.append((pts, n))
+    dims = set()
+    for pts, n in sets:
+        got = reduce_vertices(pts, n).vertices
+        assert got == _lp_extreme_points(pts, n), pts
+        dims.add((n, len(got)))
+    assert len(dims) > 10
