@@ -25,12 +25,12 @@ from .polytope import (
     reduce_vertices,
 )
 from .ratlin import (
+    adjugate,
     dot,
     invert_unimodular,
     mat_vec,
     rank,
     smith_normal_form,
-    solve_exact,
     vsub,
 )
 
@@ -161,11 +161,15 @@ def build_strict(summands, s: int) -> VPolytope:
 def width_candidates(p: VPolytope, s: int):
     """All primitive integer functionals of lattice width at most s on p.
 
-    Any functional of width at most s satisfies |<d, w>| <= s for every
-    vertex difference d; n short independent differences therefore pin w
-    inside an exact parallelepiped, whose integer points are enumerated and
-    filtered by the true width.  One representative per +- pair is kept
-    (first nonzero entry positive).  Returns (functional, min over p, width).
+    Take n short independent vertex differences d_k = v_k - v_0 as the rows
+    of D and put y = D w.  Width at most s puts every <v, w> in one interval
+    [m, m + s], which holds <v_0, w>, so 0 and every y_k lie in one interval
+    [lo, lo + s] with -s <= lo <= 0.  Each such y, (s + 1)^(n + 1) - s^(n + 1)
+    of them whatever the coordinates, is enumerated once, grouped by
+    lo = min(0, min y), and gives an integer w = adj(D) y / det D when det D
+    divides adj(D) y; w is kept when primitive, with first nonzero entry
+    positive (one of each +- pair), and of true width at most s.
+    Returns (functional, min over p, width), sorted.
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError("width bound must be a positive integer")
@@ -185,25 +189,23 @@ def width_candidates(p: VPolytope, s: int):
             chosen.append(d)
         if len(chosen) == n:
             break
-    inv = [
-        solve_exact(chosen, [int(i == j) for i in range(n)]).point
-        for j in range(n)
-    ]  # columns of the inverse of the difference matrix
-    bounds = []
-    for c in range(n):
-        reach = s * sum(abs(inv[i][c]) for i in range(n))
-        bounds.append(range(-math.floor(reach), math.floor(reach) + 1))
+    den, adj = adjugate(chosen)
     out = []
-    for w in itertools.product(*bounds):
-        nz = next((x for x in w if x != 0), None)
-        if nz is None or nz < 0:
-            continue
-        if math.gcd(*w) != 1:
-            continue
-        vals = [dot(w, v) for v in verts]
-        lo_v, hi_v = min(vals), max(vals)
-        if hi_v - lo_v <= s:
-            out.append((w, lo_v, hi_v - lo_v))
+    for lo in range(-s, 1):
+        for y in itertools.product(range(lo, lo + s + 1), repeat=n):
+            if lo < 0 and lo not in y:
+                continue
+            w = mat_vec(adj, y)
+            if any(c % den for c in w):
+                continue
+            w = tuple(c // den for c in w)
+            nz = next((x for x in w if x != 0), None)
+            if nz is None or nz < 0 or math.gcd(*w) != 1:
+                continue
+            vals = [dot(w, v) for v in verts]
+            lo_v, hi_v = min(vals), max(vals)
+            if hi_v - lo_v <= s:
+                out.append((w, lo_v, hi_v - lo_v))
     out.sort()
     return out
 

@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -261,6 +260,8 @@ def _cmd_batch(args) -> int:
     if args.threads < 1:
         raise _UsageError("--threads must be positive")
     if paths:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(_batch_entry, paths))
     else:

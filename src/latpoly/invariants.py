@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lpx
 from .errors import InvalidPolytope, InvariantViolation, TheoremViolation
 from .polytope import (
     HPolytope,
     VertexData,
+    _cone_over,
     _enumerable,
     _lattice_walk,
     _q,
@@ -47,18 +47,19 @@ def degree(p: HPolytope) -> int:
 def qcodegree(p: HPolytope):
     """Infimum of a/b over positive rationals with shrink(p, a, b) nonempty.
 
-    Divide the defining system of shrink(p, a, b) by b, substitute y = x/b
-    and t = a/b, and the condition becomes <rho_i, y> + t a_i >= 1 per facet.
-    The feasible t values form a closed upward ray, so the infimum is the
-    exact optimum of one linear program.
+    That is 1/mu, where mu is the largest s whose adjoint polytope
+    {x : <rho_i, x> + a_i >= s} is nonempty (Di Rocco, Haase, Nill and
+    Paffenholz, "Polyhedral adjunction theory", arXiv:1105.2415).  The
+    polyhedron {(x, s) : <rho_i, x> - s + a_i >= 0} is pointed, because the
+    normals of a bounded p span, and s is bounded above on it, so mu is the
+    largest s over its vertices, read off the double description.
     """
-    n = p.dim
-    lhs = [list(normal) + [offset] for normal, offset in p.facets]
-    rhs = [1] * len(lhs)
-    out = lpx.solve(lpx.linear_program([0] * n + [1], lhs, rhs))
-    if out.status != lpx.OPTIMAL:
-        raise InvariantViolation(f"rational codegree program is {out.status}")
-    return _q(out.value)
+    rows = [(tuple(normal) + (-1,), offset) for normal, offset in p.facets]
+    rays, lineality = _cone_over(rows, p.dim + 1)
+    levels = [Fraction(y[-2], y[-1]) for y, _ in rays if y[-1]]
+    if lineality or not levels or max(levels) <= 0:
+        raise InvariantViolation("rational codegree: no positive adjunction level")
+    return _q(1 / max(levels))
 
 
 def _require_smooth(p: HPolytope) -> None:

@@ -4,9 +4,10 @@ Two-phase primal simplex over Fractions with Bland's anti-cycling rule.
 Problems are stated as: minimize c . x subject to A x >= b, x free.
 Free variables are split as x = x+ - x-, surplus variables close the gap.
 
-Callers: invariants.qcodegree alone (the rational codegree is a true
-optimum).  Every other geometric question is answered exactly by the double
-description in polytope.
+Callers: none at run time; every geometric question, the rational codegree
+included, is answered exactly by the double description in polytope.  The
+package still loads it, as the independent LP oracle of the tests and the
+module that benchmarks/tracer.py wraps.
 """
 
 from __future__ import annotations

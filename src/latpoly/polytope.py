@@ -28,13 +28,13 @@ from typing import Sequence
 
 from .errors import InvalidPolytope
 from .ratlin import (
+    adjugate,
     det,
     dot,
     mat_mul,
     mat_vec,
     primitive,
     rank,
-    solve_exact,
     vadd,
     vsub,
 )
@@ -215,10 +215,9 @@ def vertex_data(p: HPolytope) -> tuple[VertexData, ...]:
         incident = tuple(i for i in range(len(p.facets)) if zero >> i & 1)
         u = None
         if len(incident) == n:
-            normals = [p.facets[i][0] for i in incident]
-            if abs(det(normals)) == 1:
-                sol = solve_exact(normals, [1] * n)
-                u = tuple(int(c) for c in sol.point)
+            d, adj = adjugate([p.facets[i][0] for i in incident])
+            if abs(d) == 1:  # u = adj 1 / d
+                u = tuple(d * sum(row) for row in adj)
         data.append(VertexData(x, incident, u))
     return tuple(data)
 
@@ -459,22 +458,16 @@ def lattice_equivalent(p: VPolytope, q: VPolytope):
     if len(chosen) < n:
         return None
     dmat = tuple(zip(*chosen))  # columns are the chosen directions
-    absd = abs(det(dmat))
-    dinv_cols = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        dinv_cols.append(solve_exact(dmat, e).point)
-    dinv = tuple(tuple(dinv_cols[j][i] for j in range(n)) for i in range(n))
+    d, adj = adjugate(dmat)
     for w in verts_q:
         for perm in itertools.permutations(dirs_q[w], n):
             fmat = tuple(zip(*perm))
-            if abs(det(fmat)) != absd:
+            if abs(det(fmat)) != abs(d):
                 continue
-            u = mat_mul(fmat, dinv)
-            if any(Fraction(x).denominator != 1 for row in u for x in row):
+            u = mat_mul(fmat, adj)  # d times the linear part
+            if any(x % d for row in u for x in row):
                 continue
-            u = tuple(tuple(int(x) for x in row) for row in u)
+            u = tuple(tuple(x // d for x in row) for row in u)
             t = vsub(w, mat_vec(u, v0))
             image = {tuple(vadd(mat_vec(u, v), t)) for v in verts_p}
             if image == target:

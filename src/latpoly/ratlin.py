@@ -81,25 +81,53 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix, by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+def adjugate(rows: Sequence[Sequence[int]]):
+    """(det A, adj A) of a square integer matrix, adj A = det A * A^-1, by
+    fraction-free Gauss-Jordan elimination on [A | I] with row swaps
+    (Bareiss, Math. Comp. 22, 1968): every update divides exactly by the
+    previous pivot.  adj A is None when A is singular."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("adjugate needs a square matrix")
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(top[k] * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = top[k]
+    # With P the row swaps, [A | I] is now [det(PA) I | det(PA) A^-1].
+    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a rational matrix, by fraction-free elimination: each row is
+    scaled to integers, reduced against the rows kept so far, and kept,
+    divided by the gcd of its entries, when it does not vanish."""
+    kept = []  # (pivot column, row), zero at the pivots of earlier rows
+    for r in rows:
+        scale = math.lcm(*(x.denominator for x in r))  # ints and Fractions
+        v = [int(x * scale) for x in r]
+        for c, b in kept:
+            f = v[c]
+            if f:
+                v = [b[c] * x - f * y for x, y in zip(v, b)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is not None:
+            g = math.gcd(*v)
+            kept.append((c, [x // g for x in v]))
+            if len(kept) == len(v):
+                break
+    return len(kept)
 
 
 @dataclass(frozen=True)

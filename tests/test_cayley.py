@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -18,13 +19,15 @@ from latpoly.cayley import (
 from latpoly.errors import InvalidPolytope
 from latpoly.polytope import (
     VPolytope,
+    affine_dim,
     apply_unimodular,
     facets,
     is_smooth,
     lattice_equivalent,
+    reduce_vertices,
     vertices,
 )
-from latpoly.ratlin import dot, smith_normal_form
+from latpoly.ratlin import dot, mat_vec, rank, smith_normal_form, solve_exact, vsub
 
 
 def test_build_order_two_cayley_of_segments():
@@ -93,6 +96,79 @@ def test_width_candidates_square():
 def test_width_candidates_dilated_triangle_empty():
     p = vertices(generate("simplex", 2, 2))
     assert width_candidates(p, 1) == []
+
+
+def _box_width_candidates(p, s):
+    """Reference: scan the box that n short independent vertex differences
+    d put around the functionals w with |<d, w>| <= s, keeping the
+    primitive ones (first nonzero entry positive) of true width <= s."""
+    n = p.dim
+    verts = p.vertices
+    diffs = sorted(
+        (vsub(v, verts[0]) for v in verts[1:]),
+        key=lambda d: (max(abs(c) for c in d), d),
+    )
+    chosen = []
+    for d in diffs:
+        if rank(chosen + [d]) > len(chosen):
+            chosen.append(d)
+        if len(chosen) == n:
+            break
+    inv = [solve_exact(chosen, [int(i == j) for i in range(n)]).point for j in range(n)]
+    bounds = []
+    for c in range(n):
+        reach = math.floor(s * sum(abs(inv[i][c]) for i in range(n)))
+        bounds.append(range(-reach, reach + 1))
+    out = []
+    for w in itertools.product(*bounds):
+        if next((x for x in w if x), 0) <= 0 or math.gcd(*w) != 1:
+            continue
+        vals = [dot(w, v) for v in verts]
+        if max(vals) - min(vals) <= s:
+            out.append((w, min(vals), max(vals) - min(vals)))
+    return sorted(out)
+
+
+def test_width_candidates_match_box_reference():
+    rng = random.Random(71)
+    dims = set()
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        points = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 4))]
+        if rng.random() < 0.5:
+            u = _random_unimodular(rng, n, ops=2)
+            points = [mat_vec(u, x) for x in points]
+        if affine_dim(points) != n:
+            continue
+        p = reduce_vertices(points, n)
+        for s in (1, 2):
+            assert width_candidates(p, s) == _box_width_candidates(p, s)
+        dims.add(n)
+    assert dims == {1, 2, 3, 4}
+
+
+def _sheared_rectangles(u):
+    """The order-2 strict Cayley sum of four rectangles, each mapped by u."""
+    rects = []
+    for a, b in ((1, 1), (3, 1), (3, 2), (3, 1)):
+        points = ((0, 0), (0, b), (a, 0), (a, b))
+        rects.append(VPolytope(2, tuple(sorted(mat_vec(u, x) for x in points))))
+    return build_strict(rects, 2)
+
+
+def test_width_candidates_coordinate_independent():
+    # x -> U x on the summand plane takes a functional w to U^-T w.
+    u = ((0, 1), (-1, -1))
+    u_inv_t = ((-1, 1), (-1, 0))  # (U^-1)^T
+    base = width_candidates(_sheared_rectangles(((1, 0), (0, 1))), 2)
+    expected = []
+    for w, lo, width in base:
+        image = mat_vec(u_inv_t, w[:2]) + w[2:]
+        if next(c for c in image if c) < 0:
+            image, lo = tuple(-c for c in image), -(lo + width)
+        expected.append((image, lo, width))
+    assert len(base) == 8
+    assert width_candidates(_sheared_rectangles(u), 2) == sorted(expected)
 
 
 def test_detect_dilated_triangle_none():

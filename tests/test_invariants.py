@@ -1,5 +1,9 @@
+import random
+
 import pytest
 from fractions import Fraction
+
+from test_polytope import _random_presentation
 
 from latpoly.cayley import build, generate, segment
 from latpoly.errors import InvalidPolytope
@@ -14,7 +18,16 @@ from latpoly.invariants import (
     spanned_at_vertex,
     vertex_shift,
 )
-from latpoly.polytope import facets, hpolytope, lattice_points, shrink, vertex_data
+from latpoly.polytope import (
+    HPolytope,
+    _q,
+    canonicalize,
+    facets,
+    hpolytope,
+    lattice_points,
+    shrink,
+    vertex_data,
+)
 
 
 def simplex(d, n):
@@ -49,6 +62,42 @@ def test_qcodegree_examples():
     assert qcodegree(simplex(2, 4)) == Fraction(5, 2)
     assert qcodegree(simplex(1, 2)) == 3
     assert qcodegree(blowup(4, 1, 3)) == 1
+
+
+def _lp_qcodegree(p):
+    """Reference: the least t with <rho_i, y> + t a_i >= 1 for every facet,
+    solved as a linear program."""
+    from latpoly import lpx
+
+    lhs = [list(normal) + [offset] for normal, offset in p.facets]
+    out = lpx.solve(lpx.linear_program([0] * p.dim + [1], lhs, [1] * len(lhs)))
+    assert out.status == lpx.OPTIMAL
+    return _q(out.value)
+
+
+def test_qcodegree_matches_lp_reference():
+    rng = random.Random(97)
+    checked = set()
+    for _ in range(120):
+        p = _random_presentation(rng)
+        try:
+            h = canonicalize(p)
+        except InvalidPolytope:
+            continue
+        # The raw presentation, its canonical form, and a rational dilate
+        # and translate of the latter.
+        ratio = Fraction(rng.randint(1, 7), rng.randint(1, 4))
+        shift = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(h.dim)]
+        moved = HPolytope(h.dim, tuple(
+            (normal, _q(ratio * offset - sum(a * c for a, c in zip(normal, shift))))
+            for normal, offset in h.facets
+        ))
+        for q in (p, h, moved):
+            got = qcodegree(q)
+            expected = _lp_qcodegree(q)
+            assert got == expected and type(got) is type(expected)
+            checked.add((q.dim, type(got)))
+    assert {d for d, _ in checked} == {1, 2, 3, 4} and len({t for _, t in checked}) == 2
 
 
 def test_spanned_at_vertex_blowup_failure():
