@@ -24,7 +24,7 @@ from .fileio import (
     save_polytope,
 )
 from .invariants import classify, codegree, degree, qcodegree
-from .polytope import ensure_lattice, is_smooth, lattice_points, vertices
+from .polytope import ensure_lattice, is_smooth, lattice_point_count, vertices
 
 
 class _UsageError(Exception):
@@ -83,7 +83,7 @@ def _analyze_payload(path: str) -> dict:
         "tool_version": __version__,
         "dim": h.dim,
         "vertex_count": len(v.vertices),
-        "lattice_point_count": len(lattice_points(h)),
+        "lattice_point_count": lattice_point_count(h),
         "smooth": smooth,
         "smooth_witness": None if witness is None else list(witness),
         "codegree": None,

@@ -16,7 +16,7 @@ from .polytope import (
     VertexData,
     _cone_over,
     _enumerable,
-    _lattice_walk,
+    _lattice_fibres,
     _q,
     contains,
     is_smooth,
@@ -31,11 +31,11 @@ def codegree(p: HPolytope) -> int:
     """Smallest k such that the k-th dilate has an interior lattice point.
 
     p is validated once: a shrink keeps the normals, so it is bounded exactly
-    when p is, and the walk for each k stops at its first point.
+    when p is, and the walk for each k stops at its first nonempty fibre.
     """
     if _enumerable(p):
         for k in range(1, p.dim + 2):
-            if next(_lattice_walk(shrink(p, k, 1)), None) is not None:
+            if next(_lattice_fibres(shrink(p, k, 1)), None) is not None:
                 return k
     raise InvariantViolation(f"no interior lattice point up to dilation {p.dim + 1}")
 

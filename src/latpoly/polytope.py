@@ -11,10 +11,10 @@ spaces, as its rays with t > 0; emptiness, boundedness, dimension, facets
 and the lattice box are read off them.  The cone {(a, b) : <a, v> + b >= 0}
 over a point set has the facets of its hull as its rays.
 
-Lattice points are enumerated fibre by fibre, as PALP does (Kreuzer and
-Skarke, Comput. Phys. Commun. 157, 2004): a depth-first walk fixes x_1,
-..., x_n in turn, each half space bounding the next coordinate, and every
-point it reaches is a lattice point of the polytope.
+Lattice points come fibre by fibre, as in PALP (Kreuzer and Skarke,
+Comput. Phys. Commun. 157, 2004): a depth-first walk fixes x_1, ...,
+x_{n-1}, each half space bounding the next coordinate, and the last one
+ranges over an interval of lattice points, listed or just counted.
 """
 
 from __future__ import annotations
@@ -268,16 +268,18 @@ def _enumerable(p: HPolytope) -> bool:
     raise InvalidPolytope("polytope is unbounded")
 
 
-def _lattice_walk(p: HPolytope):
-    """Integer points of a bounded presentation, generated in lexicographic
-    order by a depth-first walk over the coordinates.
+def _lattice_fibres(p: HPolytope, budget: int | None = None):
+    """Fibres (prefix, r) of a bounded presentation in lexicographic order,
+    r the nonempty range of the v with prefix + (v,) a lattice point.
 
-    Each half space <a, x> >= -b bounds x_k by
-    a_k x_k >= -b - (sum of a_j x_j over the fixed j < k) - S_k,
-    where S_k is the largest value of the terms j > k over the integer box
-    of the vertex coordinates.  For the last coordinate in which a row has a
-    nonzero coefficient S_k is 0, so that bound is the row itself: every
-    point the walk reaches satisfies every half space.
+    A depth-first walk fixes x_1, ..., x_{n-1}.  A half space <a, x> >= -b
+    bounds x_k by a_k x_k >= -b - (sum of a_j x_j over the fixed j < k) - S_k,
+    S_k the largest value of the terms j > k over the integer vertex box.
+    For a row's last nonzero coefficient S_k is 0, so that bound is the row
+    itself: every point of a fibre satisfies every half space.  The loop
+    over x_{n-1} bounds x_n directly, adding a_{n-1} x_{n-1} per row.  Each
+    value the walk fixes opens a fibre of the next coordinate; once it has
+    opened more than budget fibres, InvalidPolytope.
     """
     n = p.dim
     points = [_point(y) for y, _ in _cone_over(p.facets, n)[0] if y[-1]]
@@ -287,18 +289,20 @@ def _lattice_walk(p: HPolytope):
     hi = [math.floor(max(col)) for col in zip(*points)]
     # At integer points <a, x> >= -b is <a, x> >= -floor(b).
     rows = [(normal, math.floor(offset)) for normal, offset in p.facets]
-    # levels[k]: (row index, a_k, -b - S_k) for each row with a_k != 0.
+    # levels[k]: (row index, a_k, a_{k-1}, -b - S_k) for each row with a_k != 0.
     levels = [[] for _ in range(n)]
     for i, (a, b) in enumerate(rows):
         for k in range(n):
             if a[k]:
                 later = zip(a[k + 1 :], lo[k + 1 :], hi[k + 1 :])
-                levels[k].append((i, a[k], -b - sum(max(c * l, c * h) for c, l, h in later)))
+                bound = -b - sum(max(c * l, c * h) for c, l, h in later)
+                levels[k].append((i, a[k], a[k - 1] if k else 0, bound))
 
-    def fibre(k, partial):
+    def fibre(k, partial, v=0):
+        """Range of x_k, partial[i] + a_{k-1} v being row i's fixed sum."""
         low, high = lo[k], hi[k]
-        for i, a, c in levels[k]:
-            r = c - partial[i]
+        for i, a, e, c in levels[k]:
+            r = c - partial[i] - e * v
             if a > 0:
                 r = -(-r // a)
                 if r > low:
@@ -309,23 +313,46 @@ def _lattice_walk(p: HPolytope):
                     high = r
         return range(low, high + 1)
 
-    def walk(k, prefix, partial):
-        if k == n - 1:
-            for v in fibre(k, partial):
-                yield prefix + (v,)
-            return
-        for v in fibre(k, partial):
-            extended = [s + a[k] * v for s, (a, _) in zip(partial, rows)]
-            yield from walk(k + 1, prefix + (v,), extended)
+    visited = 0
 
-    yield from walk(0, (), [0] * len(rows))
+    def walk(k, prefix, partial):
+        nonlocal visited
+        values = fibre(k, partial)
+        visited += len(values)
+        if budget is not None and visited > budget:
+            raise InvalidPolytope(f"lattice point count passed {visited} fibres, budget {budget}")
+        if k < n - 2:
+            for v in values:
+                extended = [s + a[k] * v for s, (a, _) in zip(partial, rows)]
+                yield from walk(k + 1, prefix + (v,), extended)
+            return
+        for v in values:
+            if r := fibre(n - 1, partial, v):
+                yield prefix + (v,), r
+
+    if n > 1:
+        yield from walk(0, (), [0] * len(rows))
+    elif r := fibre(0, [0] * len(rows)):
+        yield (), r
 
 
 def lattice_points(p: HPolytope) -> tuple[tuple[int, ...], ...]:
     """Integer points of a bounded presentation, in lexicographic order,
-    enumerated fibre by fibre (see _lattice_walk).  An empty presentation
-    has none; a nonempty unbounded one is rejected."""
-    return tuple(_lattice_walk(p)) if _enumerable(p) else ()
+    listed from the fibres of _lattice_fibres.  An empty presentation has
+    none; a nonempty unbounded one is rejected."""
+    fibres = _lattice_fibres(p) if _enumerable(p) else ()
+    return tuple(prefix + (v,) for prefix, r in fibres for v in r)
+
+
+FIBRE_BUDGET = 10**6  # fibres lattice_point_count may open: about 1 s at 1 us each
+
+
+def lattice_point_count(p: HPolytope) -> int:
+    """Number of integer points of a bounded presentation, the summed fibre
+    lengths of _lattice_fibres: 0 when p is empty.  InvalidPolytope when p is
+    unbounded or its walk opens more fibres than FIBRE_BUDGET."""
+    fibres = _lattice_fibres(p, FIBRE_BUDGET) if _enumerable(p) else ()
+    return sum(len(r) for _, r in fibres)
 
 
 def shrink(p: HPolytope, a: int, b: int) -> HPolytope:

@@ -14,7 +14,7 @@ from latpoly.fileio import (
     save_polytope,
 )
 from latpoly.invariants import classify
-from latpoly.polytope import VPolytope, vertices
+from latpoly.polytope import FIBRE_BUDGET, VPolytope, vertices
 
 
 def write_gen(tmp_path, name, family, *params):
@@ -181,6 +181,51 @@ def test_analyze_rational_vertex_exit_2(tmp_path, capsys):
 
 def test_analyze_missing_file_exit_2(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
+
+
+def write_hrep(path, normals, offsets):
+    payload = {"format": "latpoly/1", "dim": len(normals[0])}
+    payload["hrep"] = {"normals": normals, "offsets": offsets}
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_analyze_long_segment(tmp_path, capsys):
+    target = write_hrep(tmp_path / "segment.json", [[1], [-1]], [0, 10**8])
+    assert main(["analyze", str(target), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lattice_point_count"] == 10**8 + 1
+
+
+def test_analyze_over_fibre_budget_exit_2(tmp_path, capsys):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    box = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    bad = write_hrep(indir / "a_box.json", box, [0, 2 * 10**6, 0, 1])
+    write_gen(indir, "b_good.json", "simplex", 1, 2)
+    assert main(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid polytope: ") and err.count("\n") == 1
+    assert f"passed {2 * 10**6 + 1} fibres, budget {FIBRE_BUDGET}" in err
+    out = tmp_path / "report.json"
+    assert main(["batch", str(indir), "--out", str(out)]) == 0
+    bad_entry, good_entry = json.loads(out.read_text())["reports"]
+    assert bad_entry["input"] == str(bad) and f"budget {FIBRE_BUDGET}" in bad_entry["error"]
+    assert good_entry["report"]["lattice_point_count"] == 3
+
+
+def test_main_repeated_in_one_process(tmp_path, capsys):
+    target = write_gen(tmp_path, "twodelta.json", "simplex", 2, 2)
+    assert main(["analyze", str(target), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lattice_point_count"] == 6
+    assert main(["analyze", str(target)]) == 0
+    out = capsys.readouterr().out  # text: as_json did not carry over
+    assert out.startswith("input:") and "lattice points:        6" in out
+    assert main(["analyze"]) == 1
+    gen = tmp_path / "gen.json"
+    assert main(["gen", "simplex", "1", "2", "-o", str(gen)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(gen), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lattice_point_count"] == 3
 
 
 def test_usage_error_exit_1():

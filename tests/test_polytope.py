@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from latpoly import lpx
+from latpoly import lpx, polytope
 from latpoly.cayley import build, segment
 from latpoly.errors import InvalidPolytope, InvariantViolation
 from latpoly.invariants import codegree
 from latpoly.polytope import (
     HPolytope,
     VPolytope,
+    _lattice_fibres,
     _q,
     affine_dim,
     apply_unimodular,
@@ -23,6 +24,7 @@ from latpoly.polytope import (
     is_empty,
     is_smooth,
     lattice_equivalent,
+    lattice_point_count,
     lattice_points,
     normal_fan_equal,
     reduce_vertices,
@@ -149,6 +151,51 @@ def test_lattice_points_counts():
 def test_lattice_points_unbounded_rejected():
     with pytest.raises(InvalidPolytope):
         lattice_points(hpolytope([[1]], [0]))
+
+
+def test_lattice_point_count_edge_cases():
+    # Empty presentations, bounded and unbounded, count no points.
+    assert lattice_point_count(hpolytope([[1], [-1]], [-1, 0])) == 0
+    assert lattice_point_count(hpolytope([[1, 0], [-1, 0]], [-1, 0])) == 0
+    assert lattice_point_count(shrink(simplex(2, 2), 1, 1)) == 0
+    with pytest.raises(InvalidPolytope, match="unbounded"):
+        lattice_point_count(hpolytope([[1, 0], [0, 1]], [0, 0]))
+    # Dimension 1: one fibre, with rational ends, a single point, or long.
+    assert lattice_point_count(hpolytope([[2], [-2]], [-1, 7])) == 3
+    assert lattice_point_count(shrink(simplex(1, 1), 2, 1)) == 1
+    assert list(_lattice_fibres(hpolytope([[1], [-1]], [0, 10**8]))) == [((), range(0, 10**8 + 1))]
+    # Dimension 2: the fused loop alone, with an empty fibre in the middle
+    # (the segment 2 x_2 = x_1 meets x_1 = 1 off the lattice).
+    slab = hpolytope([[1, 0], [-1, 0], [-1, 2], [1, -2]], [0, 2, 0, 0])
+    assert list(_lattice_fibres(slab)) == [((0,), range(0, 1)), ((2,), range(1, 2))]
+    assert lattice_point_count(slab) == 2
+    assert lattice_point_count(simplex(3, 2)) == 10
+
+
+def test_lattice_point_count_budget(monkeypatch):
+    box = shrink(cube(2), 2, 0)  # [0, 2]^2: three fibres of three points
+    monkeypatch.setattr(polytope, "FIBRE_BUDGET", 3)
+    assert lattice_point_count(box) == 9
+    monkeypatch.setattr(polytope, "FIBRE_BUDGET", 2)
+    with pytest.raises(InvalidPolytope, match="passed 3 fibres, budget 2"):
+        lattice_point_count(box)
+    assert lattice_points(box) == _box_scan(box)  # listing has no budget
+    # Only the first n-1 coordinates count: a long segment is one fibre.
+    assert lattice_point_count(hpolytope([[1], [-1]], [0, 10**8])) == 10**8 + 1
+
+
+def test_lattice_point_count_budget_counts_the_walk(monkeypatch):
+    # {0 <= x1 <= 1000, x1 <= x2 <= x1 + 1, x2 <= x3 <= x2 + 1}, a unimodular
+    # image of [0, 1000] x [0, 1]^2: its vertex box has 1001 * 1002 fibres
+    # over (x1, x2), but the walk fixes 1001 values of x1 and 2002 of x2.
+    normals = [[1, 0, 0], [-1, 0, 0], [-1, 1, 0], [1, -1, 0], [0, -1, 1], [0, 1, -1]]
+    sheared = hpolytope(normals, [0, 1000, 0, 1, 0, 1])
+    assert lattice_point_count(sheared) == 4004
+    monkeypatch.setattr(polytope, "FIBRE_BUDGET", 3003)
+    assert lattice_point_count(sheared) == 4004
+    monkeypatch.setattr(polytope, "FIBRE_BUDGET", 3002)
+    with pytest.raises(InvalidPolytope, match="passed 3003 fibres, budget 3002"):
+        lattice_point_count(sheared)
 
 
 def test_shrink_segment_to_point():
@@ -503,7 +550,10 @@ def test_lattice_points_match_box_scan():
     sizes = []
     for p in cases:
         points = lattice_points(p)
-        assert points == _box_scan(p), p
+        expected = _box_scan(p)
+        assert points == expected, p
+        assert lattice_point_count(p) == len(expected), p
+        assert all(r for _, r in _lattice_fibres(p)), p
         sizes.append(len(points))
     assert sizes.count(0) > 20 and max(sizes) > 100
     assert sum(not size and not is_empty(p) for p, size in zip(slabs, sizes)) >= 2
