@@ -259,13 +259,9 @@ def _cmd_batch(args) -> int:
     paths = sorted(directory.glob("*.json"))
     if args.threads < 1:
         raise _UsageError("--threads must be positive")
-    if paths:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_batch_entry, paths))
-    else:
-        results = []
+    # The work is pure Python and holds the interpreter lock, so every
+    # --threads N analyzes the files one by one in the calling thread.
+    results = list(map(_batch_entry, paths))
     reports = [entry for entry, _ in results]
     violations = [v for _, vs in results for v in vs]
     payload = {

@@ -15,7 +15,6 @@ from .polytope import (
     HPolytope,
     VertexData,
     _cone_over,
-    _enumerable,
     _lattice_fibres,
     _q,
     contains,
@@ -30,13 +29,15 @@ from .ratlin import dot
 def codegree(p: HPolytope) -> int:
     """Smallest k such that the k-th dilate has an interior lattice point.
 
-    p is validated once: a shrink keeps the normals, so it is bounded exactly
-    when p is, and the walk for each k stops at its first nonempty fibre.
+    p is validated once, by vertex_data (cached for every caller): it must be
+    nonempty and bounded.  A shrink keeps the normals, so it is bounded too;
+    the walk over each shrink checks that again on its own double
+    description, and for each k stops at its first nonempty fibre.
     """
-    if _enumerable(p):
-        for k in range(1, p.dim + 2):
-            if next(_lattice_fibres(shrink(p, k, 1)), None) is not None:
-                return k
+    vertex_data(p)
+    for k in range(1, p.dim + 2):
+        if next(_lattice_fibres(shrink(p, k, 1)), None) is not None:
+            return k
     raise InvariantViolation(f"no interior lattice point up to dilation {p.dim + 1}")
 
 

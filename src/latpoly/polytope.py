@@ -88,6 +88,11 @@ def _join(a, x: Sequence[int], b, y: Sequence[int]) -> tuple[int, ...]:
     return primitive([a * s - b * t for s, t in zip(x, y)])
 
 
+# Rays _extreme_rays may keep: the vertices of the unit 11-cube, which takes
+# about a second to canonicalize.
+RAY_BUDGET = 2**11
+
+
 def _extreme_rays(rows: Sequence[Sequence[int]], dim: int):
     """Double description (Motzkin et al. 1953) of the integer cone
     {y in R^dim : <r, y> >= 0 for all rows}: (rays, lineality), the cone
@@ -99,7 +104,8 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int):
     l.  Otherwise the rays on its nonnegative side stay and each adjacent
     pair across it is joined: two rays are adjacent exactly when no third is
     tight on every row both are tight on (Fukuda and Prodon, "Double
-    description method revisited", 1996, Proposition 7).
+    description method revisited", 1996, Proposition 7).  Once a row has
+    kept more than RAY_BUDGET rays, InvalidPolytope.
     """
     lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []
@@ -125,6 +131,10 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int):
                 # p and q are tight on common; an adjacent pair has no third.
                 if common.bit_count() >= least and sum(common & z == common for z in masks) == 2:
                     kept.append((_join(vp, q, vq, p), common | bit))
+                    if len(kept) > RAY_BUDGET:
+                        raise InvalidPolytope(
+                            f"double description kept {len(kept)} rays, budget {RAY_BUDGET}"
+                        )
         rays = kept
     return rays, lineality
 
@@ -151,6 +161,19 @@ def _point(y: tuple[int, ...]) -> Point:
 def is_empty(p: HPolytope) -> bool:
     """True iff no ray of the cone over p has t > 0."""
     return not any(y[-1] for y, _ in _cone_over(p.facets, p.dim)[0])
+
+
+def _cone_points(p: HPolytope) -> list[tuple[Point, int]]:
+    """The points (x, zero mask) of the rays with t > 0 of the cone over p,
+    none when p is empty.  InvalidPolytope when p is nonempty and unbounded:
+    the cone then has lineality or a ray with t = 0 as well."""
+    if p.dim < 1:
+        raise InvalidPolytope("ambient dimension must be at least 1")
+    rays, lineality = _cone_over(p.facets, p.dim)
+    found = [(_point(y), zero) for y, zero in rays if y[-1]]
+    if found and (lineality or len(found) < len(rays)):
+        raise InvalidPolytope("polytope is unbounded")
+    return found
 
 
 def is_bounded(p: HPolytope) -> bool:
@@ -202,14 +225,9 @@ def vertex_data(p: HPolytope) -> tuple[VertexData, ...]:
     with t > 0 of the cone over p, which has no others when p is bounded.
     """
     n = p.dim
-    if n < 1:
-        raise InvalidPolytope("ambient dimension must be at least 1")
-    rays, lineality = _cone_over(p.facets, n)
-    found = sorted((_point(y), zero) for y, zero in rays if y[-1])
+    found = sorted(_cone_points(p))
     if not found:
         raise InvalidPolytope("polytope is empty")
-    if lineality or len(found) < len(rays):
-        raise InvalidPolytope("polytope is unbounded")
     data = []
     for x, zero in found:
         incident = tuple(i for i in range(len(p.facets)) if zero >> i & 1)
@@ -256,21 +274,13 @@ def facets(q: VPolytope) -> HPolytope:
     return HPolytope(n, tuple(sorted(found)))
 
 
-def _enumerable(p: HPolytope) -> bool:
-    """Validate p for lattice point enumeration: True when p is bounded,
-    False when it is empty (and unbounded), InvalidPolytope otherwise."""
-    if p.dim < 1:
-        raise InvalidPolytope("ambient dimension must be at least 1")
-    if is_bounded(p):
-        return True
-    if is_empty(p):
-        return False
-    raise InvalidPolytope("polytope is unbounded")
-
-
 def _lattice_fibres(p: HPolytope, budget: int | None = None):
     """Fibres (prefix, r) of a bounded presentation in lexicographic order,
     r the nonempty range of the v with prefix + (v,) a lattice point.
+
+    p is checked here, by _cone_points, whose double description of the
+    cone over p also gives the box: an empty p yields nothing, an unbounded
+    one raises InvalidPolytope.
 
     A depth-first walk fixes x_1, ..., x_{n-1}.  A half space <a, x> >= -b
     bounds x_k by a_k x_k >= -b - (sum of a_j x_j over the fixed j < k) - S_k,
@@ -282,7 +292,7 @@ def _lattice_fibres(p: HPolytope, budget: int | None = None):
     opened more than budget fibres, InvalidPolytope.
     """
     n = p.dim
-    points = [_point(y) for y, _ in _cone_over(p.facets, n)[0] if y[-1]]
+    points = [x for x, _ in _cone_points(p)]
     if not points:
         return
     lo = [math.ceil(min(col)) for col in zip(*points)]
@@ -340,8 +350,7 @@ def lattice_points(p: HPolytope) -> tuple[tuple[int, ...], ...]:
     """Integer points of a bounded presentation, in lexicographic order,
     listed from the fibres of _lattice_fibres.  An empty presentation has
     none; a nonempty unbounded one is rejected."""
-    fibres = _lattice_fibres(p) if _enumerable(p) else ()
-    return tuple(prefix + (v,) for prefix, r in fibres for v in r)
+    return tuple(prefix + (v,) for prefix, r in _lattice_fibres(p) for v in r)
 
 
 FIBRE_BUDGET = 10**6  # fibres lattice_point_count may open: about 1 s at 1 us each
@@ -351,8 +360,7 @@ def lattice_point_count(p: HPolytope) -> int:
     """Number of integer points of a bounded presentation, the summed fibre
     lengths of _lattice_fibres: 0 when p is empty.  InvalidPolytope when p is
     unbounded or its walk opens more fibres than FIBRE_BUDGET."""
-    fibres = _lattice_fibres(p, FIBRE_BUDGET) if _enumerable(p) else ()
-    return sum(len(r) for _, r in fibres)
+    return sum(len(r) for _, r in _lattice_fibres(p, FIBRE_BUDGET))
 
 
 def shrink(p: HPolytope, a: int, b: int) -> HPolytope:
@@ -371,7 +379,7 @@ def shrink(p: HPolytope, a: int, b: int) -> HPolytope:
 def ensure_lattice(points: Sequence[Point]) -> None:
     for pt in points:
         for c in pt:
-            if Fraction(c).denominator != 1:
+            if type(c) is not int and Fraction(c).denominator != 1:
                 raise InvalidPolytope(f"non-integer vertex {pt}")
 
 

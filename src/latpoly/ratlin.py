@@ -7,6 +7,7 @@ sequences of row vectors.  Everything is arbitrary precision; no floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -18,19 +19,15 @@ IntMatrix = tuple[IntVector, ...]
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
+    return tuple(map(operator.sub, u, v))
 
 
 def mat_vec(rows: Sequence[Sequence], v: Sequence) -> tuple:

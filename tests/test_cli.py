@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
 
+import latpoly
 from latpoly import lpx
 from latpoly.cayley import generate, lattice_point
 from latpoly.cli import main
@@ -14,7 +19,7 @@ from latpoly.fileio import (
     save_polytope,
 )
 from latpoly.invariants import classify
-from latpoly.polytope import FIBRE_BUDGET, VPolytope, vertices
+from latpoly.polytope import FIBRE_BUDGET, RAY_BUDGET, VPolytope, vertices
 
 
 def write_gen(tmp_path, name, family, *params):
@@ -213,6 +218,26 @@ def test_analyze_over_fibre_budget_exit_2(tmp_path, capsys):
     assert good_entry["report"]["lattice_point_count"] == 3
 
 
+def test_over_ray_budget_exit_2(tmp_path, capsys):
+    # The unit 12-cube has 4096 vertices, over RAY_BUDGET.
+    indir = tmp_path / "in"
+    indir.mkdir()
+    normals = [[s * int(i == j) for j in range(12)] for i in range(12) for s in (1, -1)]
+    bad = write_hrep(indir / "a_cube.json", normals, [0, 1] * 12)
+    write_gen(indir, "b_good.json", "simplex", 1, 2)
+    message = f"kept {RAY_BUDGET + 1} rays, budget {RAY_BUDGET}"
+    for argv in (["gen", "cube", "12"], ["analyze", str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid polytope: ") and err.count("\n") == 1
+        assert message in err
+    out = tmp_path / "report.json"
+    assert main(["batch", str(indir), "--out", str(out)]) == 0
+    bad_entry, good_entry = json.loads(out.read_text())["reports"]
+    assert message in bad_entry["error"]
+    assert good_entry["report"]["lattice_point_count"] == 3
+
+
 def test_main_repeated_in_one_process(tmp_path, capsys):
     target = write_gen(tmp_path, "twodelta.json", "simplex", 2, 2)
     assert main(["analyze", str(target), "--json"]) == 0
@@ -357,6 +382,41 @@ def test_batch_deterministic_across_threads(tmp_path):
     assert main(["batch", str(indir), "--out", str(default)]) == 0
     assert default.read_bytes() == out1.read_bytes()
     assert main(["batch", str(indir), "--out", str(default), "--threads", "0"]) == 1
+
+
+_BATCH_SCRIPT = """
+import sys
+from latpoly.cli import main
+
+indir, out1, out2 = sys.argv[1:]
+assert main(["batch", indir, "--out", out1, "--threads", "1"]) == 0
+assert main(["batch", indir, "--out", out2, "--threads", "2"]) == 0
+print("pool imported:", "concurrent.futures" in sys.modules)
+"""
+
+
+def test_batch_one_thread_runs_in_calling_thread(tmp_path):
+    # A fresh process, so that no other test's import of concurrent.futures
+    # shows: neither --threads 1 nor --threads 2 starts a pool, and both
+    # write the same bytes.
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_gen(indir, "simplex.json", "simplex", 2, 3)
+    write_gen(indir, "blowup.json", "blowup", 4, 2, 3)
+    write_hrep(indir / "unbounded.json", [[1, 0], [0, 1]], [0, 0])
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    src = str(Path(latpoly.__file__).resolve().parents[1])
+    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", _BATCH_SCRIPT, str(indir), str(out1), str(out2)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    flags = [line for line in done.stdout.splitlines() if line.startswith("pool imported:")]
+    assert flags == ["pool imported: False"]
+    assert out1.read_bytes() == out2.read_bytes()
+    assert len(json.loads(out1.read_text())["reports"]) == 3
 
 
 def test_batch_empty_directory(tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latpoly import lpx, polytope
-from latpoly.cayley import build, segment
+from latpoly.cayley import build, generate, segment
 from latpoly.errors import InvalidPolytope, InvariantViolation
 from latpoly.invariants import codegree
 from latpoly.polytope import (
@@ -151,6 +151,11 @@ def test_lattice_points_counts():
 def test_lattice_points_unbounded_rejected():
     with pytest.raises(InvalidPolytope):
         lattice_points(hpolytope([[1]], [0]))
+    # The slab 0 <= x_1 <= 1 has lineality and no ray with t = 0.
+    slab = hpolytope([[1, 0], [-1, 0]], [0, 1])
+    for enumerate_points in (lattice_points, lattice_point_count):
+        with pytest.raises(InvalidPolytope, match="polytope is unbounded"):
+            enumerate_points(slab)
 
 
 def test_lattice_point_count_edge_cases():
@@ -182,6 +187,23 @@ def test_lattice_point_count_budget(monkeypatch):
     assert lattice_points(box) == _box_scan(box)  # listing has no budget
     # Only the first n-1 coordinates count: a long segment is one fibre.
     assert lattice_point_count(hpolytope([[1], [-1]], [0, 10**8])) == 10**8 + 1
+
+
+def test_ray_budget(monkeypatch):
+    # The box [0, 7] x [0, 6] x [0, 5] keeps 8 rays in its cone's double
+    # description: one per vertex.
+    box = hpolytope([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+                    [0, 7, 0, 6, 0, 5])
+    monkeypatch.setattr(polytope, "RAY_BUDGET", 8)
+    assert not is_empty(box)
+    monkeypatch.setattr(polytope, "RAY_BUDGET", 7)
+    with pytest.raises(InvalidPolytope, match="kept 8 rays, budget 7"):
+        is_empty(box)
+    monkeypatch.undo()
+    # The unit 14-cube has 16384 vertices; its double description stops at
+    # the budget instead of running for minutes.
+    with pytest.raises(InvalidPolytope, match=f"kept {polytope.RAY_BUDGET + 1} rays"):
+        vertex_data(generate("cube", 14))
 
 
 def test_lattice_point_count_budget_counts_the_walk(monkeypatch):

@@ -9,6 +9,7 @@ from latpoly.ratlin import (
     UNIQUE,
     adjugate,
     det,
+    dot,
     identity,
     invert_unimodular,
     mat_mul,
@@ -65,6 +66,14 @@ def test_unimodular_invariance_under_permutation_and_sign():
         rng.shuffle(perm)
         flipped = [tuple(-c for c in v) if rng.random() < 0.5 else v for v in perm]
         assert abs(det(flipped)) == base
+
+
+def test_dot_examples():
+    assert dot((1, -2, 3), (4, 5, 6)) == 12
+    assert dot((Fraction(1, 2), 3), (4, Fraction(1, 3))) == 3
+    assert dot((), ()) == 0
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+        dot((1, 2), (1, 2, 3))
 
 
 def test_det_small_cases():
