@@ -24,15 +24,7 @@ from .polytope import (
     normal_fan_equal,
     reduce_vertices,
 )
-from .ratlin import (
-    adjugate,
-    dot,
-    invert_unimodular,
-    mat_vec,
-    rank,
-    smith_normal_form,
-    vsub,
-)
+from .ratlin import adjugate, dot, independent, mat_vec, rank, smith_normal_form, vsub
 
 
 @dataclass(frozen=True)
@@ -104,50 +96,32 @@ def build(summands, s: int) -> VPolytope:
     return VPolytope(m + k, tuple(sorted(set(points))))
 
 
-def _direction_basis(q: VPolytope):
-    """Rows spanning the saturated direction lattice of the affine hull."""
-    base = q.vertices[0]
-    diffs = [vsub(v, base) for v in q.vertices[1:]]
-    _, d, v = smith_normal_form(diffs)
-    r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    return v[:r]
-
-
-def _row_times(row, matrix):
-    return tuple(dot(row, col) for col in zip(*matrix))
-
-
 def same_normal_fan(a: VPolytope, b: VPolytope) -> bool:
     """Fan equality for summands, allowing lower-dimensional ones.
 
-    Lower-dimensional polytopes must share their direction space; both are
-    then rewritten in common unimodular coordinates on that space and the
-    full-dimensional fans are compared.
+    Lower-dimensional polytopes must share their direction space.  A linear
+    isomorphism maps normal cones onto normal cones, so applying one map to
+    both polytopes keeps the verdict: both are projected onto da coordinates
+    that are independent on that space, which is injective on their affine
+    hulls, and the full-dimensional fans of the images are compared.
     """
     if a.dim != b.dim:
         return False
     da = affine_dim(a.vertices)
-    db = affine_dim(b.vertices)
-    if da != db:
+    if da != affine_dim(b.vertices):
         return False
     if da == 0:
         return True
-    if da == a.dim:
-        return normal_fan_equal(facets(a), facets(b))
-    rows_a = _direction_basis(a)
-    rows_b = _direction_basis(b)
-    if rank(list(rows_a) + list(rows_b)) != da:
+    diffs_a = [vsub(v, a.vertices[0]) for v in a.vertices[1:]]
+    diffs_b = [vsub(v, b.vertices[0]) for v in b.vertices[1:]]
+    if rank(diffs_a + diffs_b) != da:
         return False
-    # Complete rows_a to a basis of the ambient lattice and read off the
-    # first da coordinates.
-    _, _, v = smith_normal_form(rows_a)
-    vinv = invert_unimodular(v)
-    reduced = []
-    for q in (a, b):
-        base = q.vertices[0]
-        pts = [_row_times(vsub(x, base), vinv)[:da] for x in q.vertices]
-        reduced.append(VPolytope(da, tuple(sorted(set(pts)))))
-    return normal_fan_equal(facets(reduced[0]), facets(reduced[1]))
+    cols = independent(list(zip(*diffs_a)))
+    projected = [
+        VPolytope(da, tuple(sorted({tuple(v[c] for c in cols) for v in q.vertices})))
+        for q in (a, b)
+    ]
+    return normal_fan_equal(facets(projected[0]), facets(projected[1]))
 
 
 def build_strict(summands, s: int) -> VPolytope:
@@ -183,13 +157,7 @@ def width_candidates(p: VPolytope, s: int):
         (vsub(v, base) for v in verts[1:]),
         key=lambda d: (max(abs(c) for c in d), d),
     )
-    chosen = []
-    for d in diffs:
-        if rank(chosen + [d]) > len(chosen):
-            chosen.append(d)
-        if len(chosen) == n:
-            break
-    den, adj = adjugate(chosen)
+    den, adj = adjugate([diffs[i] for i in independent(diffs)])
     out = []
     for lo in range(-s, 1):
         for y in itertools.product(range(lo, lo + s + 1), repeat=n):
@@ -223,6 +191,10 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     either orientation; a valid choice partitions the vertices into k + 1
     nonempty height classes and spans a surjection onto Z^k.  Ties are
     broken toward the lexicographically smallest functional matrix.
+
+    Two vertices form one atom when every candidate puts them at the same
+    height.  Every height class is then a union of atoms, so k + 1 is at
+    most the number of atoms, and the search for k starts there.
     """
     n = p.dim
     ensure_lattice(p.vertices)
@@ -271,7 +243,8 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
 
         return rec(0)
 
-    for k in range(min(n, nv - 1, len(oriented)), 0, -1):
+    atoms = len({tuple(i in cls for _, _, cls in oriented) for i in range(nv)})
+    for k in range(min(n, nv - 1, len(oriented), atoms - 1), 0, -1):
         chosen = search(k)
         if chosen is None:
             continue

@@ -23,7 +23,7 @@ from .fileio import (
     polytope_payload,
     save_polytope,
 )
-from .invariants import classify, codegree, degree, qcodegree
+from .invariants import classify, codegree, qcodegree
 from .polytope import ensure_lattice, is_smooth, lattice_point_count, vertices
 
 
@@ -113,8 +113,9 @@ def _analyze_payload(path: str) -> dict:
             }
         payload["predicted_defect"] = report.predicted_defect
     else:
-        payload["codegree"] = codegree(h)
-        payload["degree"] = degree(h)
+        c = codegree(h)
+        payload["codegree"] = c
+        payload["degree"] = h.dim + 1 - c
         payload["qcodegree"] = encode_rational(qcodegree(h))
     return payload
 

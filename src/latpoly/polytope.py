@@ -31,6 +31,7 @@ from .ratlin import (
     adjugate,
     det,
     dot,
+    independent,
     mat_mul,
     mat_vec,
     primitive,
@@ -189,9 +190,14 @@ def canonicalize(p: HPolytope) -> HPolytope:
     Normals are made primitive, duplicates and redundant half spaces are
     dropped, and the list is sorted by (normal, offset).  Raises
     InvalidPolytope when the input is empty, unbounded, or lower-dimensional.
-    A full-dimensional polytope has only one irredundant presentation with
-    distinct primitive normals: the half spaces whose tight vertices span a
-    hyperplane.
+
+    After deduplication a half space is a facet exactly when its set of
+    tight vertices lies strictly inside no other half space's set.  A
+    facet's set lies in no other: that set would be a proper face holding
+    the facet, so the facet itself, and two half spaces tight on one facet
+    share a normal, which deduplication excludes.  Any other set lies
+    strictly inside a facet's: the empty set inside every nonempty one, and
+    a lower face inside a facet holding it, which every presentation lists.
     """
     if p.dim < 1:
         raise InvalidPolytope("ambient dimension must be at least 1")
@@ -208,10 +214,14 @@ def canonicalize(p: HPolytope) -> HPolytope:
     data = vertex_data(work)
     if affine_dim([v.point for v in data]) < p.dim:
         raise InvalidPolytope("polytope is not full-dimensional")
+    masks = [0] * len(work.facets)  # bit j: vertex j is tight
+    for j, v in enumerate(data):
+        for i in v.incident:
+            masks[i] |= 1 << j
     kept = tuple(
         facet
-        for i, facet in enumerate(work.facets)
-        if affine_dim([v.point for v in data if i in v.incident]) == p.dim - 1
+        for facet, m in zip(work.facets, masks)
+        if not any(m != o and m & o == m for o in masks)
     )
     return HPolytope(p.dim, kept)
 
@@ -484,12 +494,7 @@ def lattice_equivalent(p: VPolytope, q: VPolytope):
         return None
     target = set(verts_q)
     v0 = verts_p[0]
-    chosen = []
-    for d in dirs_p[v0]:
-        if rank(chosen + [d]) > len(chosen):
-            chosen.append(d)
-        if len(chosen) == n:
-            break
+    chosen = [dirs_p[v0][i] for i in independent(dirs_p[v0])]
     if len(chosen) < n:
         return None
     dmat = tuple(zip(*chosen))  # columns are the chosen directions

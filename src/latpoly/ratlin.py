@@ -106,12 +106,15 @@ def adjugate(rows: Sequence[Sequence[int]]):
     return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix, by fraction-free elimination: each row is
-    scaled to integers, reduced against the rows kept so far, and kept,
-    divided by the gcd of its entries, when it does not vanish."""
+def independent(rows: Sequence[Sequence]) -> list[int]:
+    """Indices of the rows of a rational matrix that are independent of the
+    rows before them, in order: the first basis of the row space that the
+    rows list.  Fraction-free elimination: each row is scaled to integers,
+    reduced against the rows kept so far, and kept, divided by the gcd of
+    its entries, when it does not vanish."""
     kept = []  # (pivot column, row), zero at the pivots of earlier rows
-    for r in rows:
+    out = []
+    for i, r in enumerate(rows):
         scale = math.lcm(*(x.denominator for x in r))  # ints and Fractions
         v = [int(x * scale) for x in r]
         for c, b in kept:
@@ -122,9 +125,15 @@ def rank(rows: Sequence[Sequence]) -> int:
         if c is not None:
             g = math.gcd(*v)
             kept.append((c, [x // g for x in v]))
+            out.append(i)
             if len(kept) == len(v):
                 break
-    return len(kept)
+    return out
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a rational matrix: the number of independent rows."""
+    return len(independent(rows))
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,10 @@ NON_UNIQUE = "non-unique"
 
 
 def solve_exact(a: Sequence[Sequence], b: Sequence) -> SolveOutcome:
-    """Solve A x = b over the rationals with an exact verdict."""
+    """Solve A x = b over the rationals with an exact verdict.
+
+    No package code calls it: the tests use it as a reference, and
+    benchmarks/tracer.py wraps it by name."""
     nrows = len(a)
     if len(b) != nrows:
         raise ValueError("right-hand side length mismatch")
@@ -172,22 +184,6 @@ def solve_exact(a: Sequence[Sequence], b: Sequence) -> SolveOutcome:
     for i, c in enumerate(pivots):
         x[c] = m[i][ncols]
     return SolveOutcome(UNIQUE, tuple(x))
-
-
-def invert_unimodular(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix (integer entries)."""
-    n = len(rows)
-    cols = []
-    for j in range(n):
-        e = tuple(int(i == j) for i in range(n))
-        out = solve_exact(rows, e)
-        if out.status != UNIQUE:
-            raise ValueError("matrix is singular")
-        cols.append(out.point)
-    inv = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    if any(x.denominator != 1 for r in inv for x in r):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(int(x) for x in r) for r in inv)
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]):

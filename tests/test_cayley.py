@@ -24,6 +24,7 @@ from latpoly.polytope import (
     facets,
     is_smooth,
     lattice_equivalent,
+    normal_fan_equal,
     reduce_vertices,
     vertices,
 )
@@ -389,3 +390,85 @@ def test_same_normal_fan_parallel_lower_dimensional_segments():
     c = VPolytope(2, ((0, 5), (3, 7)))
     assert same_normal_fan(a, b) is False  # directions (1,1) vs (3,2)
     assert same_normal_fan(b, c) is True  # parallel segments share the fan
+
+
+def _snf_same_normal_fan(a, b):
+    """Reference: rewrite both polytopes in unimodular coordinates on the
+    saturated direction lattice of a, a Smith normal form basis completed
+    to a basis of Z^n and inverted by exact solves, and compare the fans."""
+    if a.dim != b.dim:
+        return False
+    da = affine_dim(a.vertices)
+    if da != affine_dim(b.vertices):
+        return False
+    if da == 0:
+        return True
+    if da == a.dim:
+        return normal_fan_equal(facets(a), facets(b))
+
+    def direction_basis(q):
+        _, d, v = smith_normal_form([vsub(x, q.vertices[0]) for x in q.vertices[1:]])
+        return v[: sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)]
+
+    rows_a = direction_basis(a)
+    if rank(list(rows_a) + list(direction_basis(b))) != da:
+        return False
+    _, _, v = smith_normal_form(rows_a)
+    n = a.dim
+    inverse_cols = [solve_exact(v, [int(i == j) for i in range(n)]).point for j in range(n)]
+    reduced = []
+    for q in (a, b):
+        pts = {
+            tuple(int(dot(vsub(x, q.vertices[0]), col)) for col in inverse_cols[:da])
+            for x in q.vertices
+        }
+        reduced.append(VPolytope(da, tuple(sorted(pts))))
+    return normal_fan_equal(facets(reduced[0]), facets(reduced[1]))
+
+
+def _flat_polytope(rng, n, basis):
+    """Random lattice points spanning the affine space base + span(basis)."""
+    base = tuple(rng.randint(-3, 3) for _ in range(n))
+    while True:
+        pts = [
+            tuple(b + sum(c * d[i] for c, d in zip(coeffs, basis)) for i, b in enumerate(base))
+            for coeffs in (
+                [rng.randint(0, 2) for _ in basis] for _ in range(len(basis) + rng.randint(1, 3))
+            )
+        ]
+        if affine_dim(pts) == len(basis):
+            return reduce_vertices(pts, n)
+
+
+def test_same_normal_fan_matches_snf_reference():
+    # Lower-dimensional pairs in 2-4 dimensions: dilates and translates of
+    # one polytope, other polytopes on the same direction space (also in a
+    # rational change of basis of it), and polytopes on another one.
+    rng = random.Random(83)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        da = rng.randint(1, n - 1)
+        while True:
+            basis = [tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(n)) for _ in range(da)]
+            if rank(basis) == da:
+                break
+        a = _flat_polytope(rng, n, basis)
+        kind = rng.randrange(4)
+        if kind == 0:
+            k = rng.randint(1, 3)
+            t = tuple(rng.randint(-3, 3) for _ in range(n))
+            b = VPolytope(n, tuple(sorted(tuple(k * c + s for c, s in zip(x, t)) for x in a.vertices)))
+        elif kind == 1:
+            b = _flat_polytope(rng, n, basis)
+        elif kind == 2:
+            mix = [[rng.randint(-1, 1) for _ in range(da)] for _ in range(da)]
+            other = [tuple(sum(m * d[i] for m, d in zip(row, basis)) for i in range(n)) for row in mix]
+            b = _flat_polytope(rng, n, other) if rank(other) == da else a
+        else:
+            other = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(da)]
+            b = _flat_polytope(rng, n, other) if rank(other) == da else a
+        verdict = same_normal_fan(a, b)
+        assert verdict is _snf_same_normal_fan(a, b), (a, b)
+        verdicts.append(verdict)
+    assert 60 <= sum(verdicts) <= 240

@@ -170,6 +170,19 @@ def test_analyze_simplex_text(tmp_path, capsys):
     assert "k=3" in out
 
 
+def test_analyze_non_smooth(tmp_path, capsys):
+    # A Reeve tetrahedron: no interior lattice point, two in its second
+    # dilate, so codegree 2 and degree 3 + 1 - 2.
+    target = tmp_path / "reeve.json"
+    vertices = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 3]]
+    target.write_text(json.dumps({"format": "latpoly/1", "dim": 3, "vrep": {"vertices": vertices}}))
+    assert main(["analyze", str(target), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["smooth"] is False
+    assert (report["codegree"], report["degree"], report["qcodegree"]) == (2, 2, "4/3")
+    assert report["nef_value"] is None and report["cayley"] is None
+
+
 def test_analyze_rational_vertex_exit_2(tmp_path, capsys):
     target = tmp_path / "bad.json"
     target.write_text(

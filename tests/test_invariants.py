@@ -160,6 +160,26 @@ def test_classify_triple_segment_prism():
     assert report.predicted_defect == 1
 
 
+@pytest.mark.parametrize("lengths", [
+    (1, 2, 1, 2, 1, 2),
+    (3, 1, 2, 1, 1, 2),
+    (1, 1, 1, 1, 1, 1, 1),
+    (1, 2, 1, 2, 1, 2, 1, 2),
+    (1, 2, 1, 2, 1, 2, 1, 2, 1),
+])
+def test_classify_strict_lawrence_prisms_high_codegree(lengths):
+    # The theorem's regime: dimension n = m, codegree m and k = m - 1 for m
+    # segments.  Nine segments give 510 oriented candidates, whose disjoint
+    # families detect would exhaust at k = 9 without its atom bound.
+    report = classify(generate("lawrence", lengths))
+    n = len(lengths)
+    c = report.codegree
+    assert report.classification_applies is True
+    assert report.cayley.k + 1 == c == n
+    assert report.cayley.strict is True
+    assert report.predicted_defect == 2 * c - 2 - n
+
+
 def test_classify_dilated_simplex_no_claim():
     report = classify(simplex(2, 5))
     assert report.codegree == 3

@@ -345,6 +345,24 @@ def test_smoothness_invariant_under_unimodular_maps():
         assert is_smooth(facets(apply_unimodular(rough_q, u, t)))[0] is False
 
 
+def _supporting_rows(p, count, rng):
+    """Redundant half spaces <w, x> >= min of <w, v> over the vertices v,
+    each tight on a face of p: w is the sum of some of the normals at a
+    vertex (tight on a vertex, an edge, a ridge, ...) or a random vector."""
+    data = vertex_data(p)
+    rows = []
+    while len(rows) < count:
+        if rng.random() < 0.6:
+            v = rng.choice(data)
+            picked = rng.sample(v.incident, rng.randint(2, len(v.incident)))
+            w = tuple(map(sum, zip(*(p.facets[i][0] for i in picked))))
+        else:
+            w = tuple(rng.randint(-3, 3) for _ in range(p.dim))
+        if any(w):
+            rows.append((w, -min(dot(w, v.point) for v in data)))
+    return rows
+
+
 def test_canonicalize_drops_redundant_and_sorts():
     raw = hpolytope([[0, 1], [1, 0], [-1, -1], [2, 2], [1, 1]], [0, 0, 1, 5, 2])
     p = canonicalize(raw)
@@ -352,6 +370,11 @@ def test_canonicalize_drops_redundant_and_sorts():
     rng = random.Random(7)
     for n in (5, 6):
         assert canonicalize(_padded(simplex(1, n), 21, rng)) == simplex(1, n)
+    for base in (cube(3), simplex(2, 3), blowup(4, 1, 3), generate("lawrence", (1, 2, 3))):
+        for _ in range(8):
+            rows = list(base.facets) + _supporting_rows(base, 6, rng)
+            rng.shuffle(rows)
+            assert canonicalize(HPolytope(base.dim, tuple(rows))) == base
 
 
 def test_canonicalize_rejects_degenerate_inputs():

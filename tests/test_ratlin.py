@@ -11,7 +11,7 @@ from latpoly.ratlin import (
     det,
     dot,
     identity,
-    invert_unimodular,
+    independent,
     mat_mul,
     primitive,
     rank,
@@ -126,11 +126,6 @@ def test_snf_random_reconstruction():
                 assert y % x == 0
 
 
-def test_invert_unimodular():
-    m = ((1, 2), (0, 1))
-    assert invert_unimodular(m) == ((1, -2), (0, 1))
-
-
 def test_solve_exact_verdicts():
     out = solve_exact(identity(2), (3, 4))
     assert out.status == UNIQUE
@@ -221,5 +216,8 @@ def test_rank_matches_fraction_reference():
                 ))
         r = rank(rows)
         assert r == _fraction_rank(rows)
+        assert independent(rows) == [
+            i for i in range(len(rows)) if _fraction_rank(rows[: i + 1]) > _fraction_rank(rows[:i])
+        ]
         seen.add(r)
     assert seen == set(range(7))
