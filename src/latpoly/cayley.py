@@ -105,18 +105,16 @@ def same_normal_fan(a: VPolytope, b: VPolytope) -> bool:
     that are independent on that space, which is injective on their affine
     hulls, and the full-dimensional fans of the images are compared.
     """
-    if a.dim != b.dim:
+    if a.dim != b.dim or not a.vertices or not b.vertices:
         return False
-    da = affine_dim(a.vertices)
-    if da != affine_dim(b.vertices):
+    diffs_a = [vsub(v, a.vertices[0]) for v in a.vertices[1:]]
+    diffs_b = [vsub(v, b.vertices[0]) for v in b.vertices[1:]]
+    cols = independent(list(zip(*diffs_a)))
+    da = len(cols)
+    if rank(diffs_b) != da or rank(diffs_a + diffs_b) != da:
         return False
     if da == 0:
         return True
-    diffs_a = [vsub(v, a.vertices[0]) for v in a.vertices[1:]]
-    diffs_b = [vsub(v, b.vertices[0]) for v in b.vertices[1:]]
-    if rank(diffs_a + diffs_b) != da:
-        return False
-    cols = independent(list(zip(*diffs_a)))
     projected = [
         VPolytope(da, tuple(sorted({tuple(v[c] for c in cols) for v in q.vertices})))
         for q in (a, b)
@@ -132,17 +130,30 @@ def build_strict(summands, s: int) -> VPolytope:
     return build(summands, s)
 
 
+def _functionals(verts, ys):
+    """The primitive integer w with <v_k - v_0, w> = y_k on n short independent
+    vertex differences, one per y of ys that has one: w = adj(D) y / det D for
+    D the matrix of those differences, integral and primitive exactly when
+    gcd(adj(D) y) = |det D|, which y = 0 never meets."""
+    diffs = sorted(
+        (vsub(v, verts[0]) for v in verts[1:]),
+        key=lambda d: (max(abs(c) for c in d), d),
+    )
+    den, adj = adjugate([diffs[i] for i in independent(diffs)])
+    for y in ys:
+        w = mat_vec(adj, y)
+        if math.gcd(*w) == abs(den):
+            yield tuple(c // den for c in w)
+
+
 def width_candidates(p: VPolytope, s: int):
     """All primitive integer functionals of lattice width at most s on p.
 
-    Take n short independent vertex differences d_k = v_k - v_0 as the rows
-    of D and put y = D w.  Width at most s puts every <v, w> in one interval
-    [m, m + s], which holds <v_0, w>, so 0 and every y_k lie in one interval
-    [lo, lo + s] with -s <= lo <= 0.  Each such y, (s + 1)^(n + 1) - s^(n + 1)
-    of them whatever the coordinates, is enumerated once, grouped by
-    lo = min(0, min y), and gives an integer w = adj(D) y / det D when det D
-    divides adj(D) y; w is kept when primitive, with first nonzero entry
-    positive (one of each +- pair), and of true width at most s.
+    Width at most s puts 0 and every y_k = <v_k - v_0, w> of `_functionals`
+    in one interval [lo, lo + s] with -s <= lo <= 0.  Each such y,
+    (s + 1)^(n + 1) - s^(n + 1) of them whatever the coordinates, is
+    enumerated once, grouped by lo = min(0, min y); w is kept with first
+    nonzero entry positive (one of each +- pair) and true width at most s.
     Returns (functional, min over p, width), sorted.
     """
     if not isinstance(s, int) or s < 1:
@@ -152,28 +163,16 @@ def width_candidates(p: VPolytope, s: int):
     if affine_dim(p.vertices) != n:
         raise InvalidPolytope("width candidates need a full-dimensional polytope")
     verts = p.vertices
-    base = verts[0]
-    diffs = sorted(
-        (vsub(v, base) for v in verts[1:]),
-        key=lambda d: (max(abs(c) for c in d), d),
-    )
-    den, adj = adjugate([diffs[i] for i in independent(diffs)])
+    boxes = ((lo, itertools.product(range(lo, lo + s + 1), repeat=n)) for lo in range(-s, 1))
+    ys = (y for lo, box in boxes for y in box if lo == 0 or lo in y)
     out = []
-    for lo in range(-s, 1):
-        for y in itertools.product(range(lo, lo + s + 1), repeat=n):
-            if lo < 0 and lo not in y:
-                continue
-            w = mat_vec(adj, y)
-            if any(c % den for c in w):
-                continue
-            w = tuple(c // den for c in w)
-            nz = next((x for x in w if x != 0), None)
-            if nz is None or nz < 0 or math.gcd(*w) != 1:
-                continue
-            vals = [dot(w, v) for v in verts]
-            lo_v, hi_v = min(vals), max(vals)
-            if hi_v - lo_v <= s:
-                out.append((w, lo_v, hi_v - lo_v))
+    for w in _functionals(verts, ys):
+        if next(c for c in w if c) < 0:
+            continue
+        vals = [dot(w, v) for v in verts]
+        lo, hi = min(vals), max(vals)
+        if hi - lo <= s:
+            out.append((w, lo, hi - lo))
     out.sort()
     return out
 
@@ -187,10 +186,13 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     """Search for a Cayley structure of order s on a full-dimensional
     lattice polytope, maximizing the number of heights k.
 
-    Candidate projections are assembled from width-s functionals, used in
-    either orientation; a valid choice partitions the vertices into k + 1
-    nonempty height classes and spans a surjection onto Z^k.  Ties are
-    broken toward the lexicographically smallest functional matrix.
+    Candidate projections are assembled from primitive functionals taking
+    exactly two values, lo and lo + s, on the vertices, in either orientation.
+    Oriented so that v_0 sits at lo, each has every y_k = <v_k - v_0, w> in
+    {0, s}, so the 2^n - 1 nonzero y of {0, s}^n give each pair once.  A valid
+    choice partitions the vertices into k + 1 nonempty height classes and
+    spans a surjection onto Z^k.  Ties are broken toward the
+    lexicographically smallest functional matrix.
 
     Two vertices form one atom when every candidate puts them at the same
     height.  Every height class is then a union of atoms, so k + 1 is at
@@ -200,14 +202,13 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     ensure_lattice(p.vertices)
     if affine_dim(p.vertices) != n:
         raise InvalidPolytope("detection needs a full-dimensional polytope")
-    if n == 0:
-        return None
+    if not isinstance(s, int) or s < 1:
+        raise ValueError("width bound must be a positive integer")
     verts = p.vertices
     nv = len(verts)
     oriented = []
-    for w, lo, width in width_candidates(p, s):
-        if width != s:
-            continue
+    for w in _functionals(verts, itertools.product((0, s), repeat=n)):
+        lo = dot(w, verts[0])
         vals = [dot(w, v) - lo for v in verts]
         if any(h != 0 and h != s for h in vals):
             continue

@@ -24,7 +24,7 @@ from .fileio import (
     save_polytope,
 )
 from .invariants import classify, codegree, qcodegree
-from .polytope import ensure_lattice, is_smooth, lattice_point_count, vertices
+from .polytope import is_smooth, lattice_point_count, vertices
 
 
 class _UsageError(Exception):
@@ -75,7 +75,6 @@ def _analyze_payload(path: str) -> dict:
     loaded = load_polytope(path)
     h = loaded.need_h()
     v = loaded.need_v()
-    ensure_lattice(v.vertices)
     smooth, witness = is_smooth(h)
     payload = {
         "format": REPORT_FORMAT,

@@ -212,12 +212,12 @@ def canonicalize(p: HPolytope) -> HPolytope:
             tight[key] = val
     work = HPolytope(p.dim, tuple(sorted(tight.items())))
     data = vertex_data(work)
-    if affine_dim([v.point for v in data]) < p.dim:
-        raise InvalidPolytope("polytope is not full-dimensional")
     masks = [0] * len(work.facets)  # bit j: vertex j is tight
     for j, v in enumerate(data):
         for i in v.incident:
             masks[i] |= 1 << j
+    if (1 << len(data)) - 1 in masks:  # an equation of the affine hull
+        raise InvalidPolytope("polytope is not full-dimensional")
     kept = tuple(
         facet
         for facet, m in zip(work.facets, masks)

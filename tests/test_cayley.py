@@ -6,6 +6,7 @@ import pytest
 from fractions import Fraction
 
 from latpoly.cayley import (
+    _functionals,
     build,
     build_strict,
     check_localsplit,
@@ -172,8 +173,46 @@ def test_width_candidates_coordinate_independent():
     assert width_candidates(_sheared_rectangles(u), 2) == sorted(expected)
 
 
+def test_two_valued_functionals_match_width_candidates():
+    # Oriented with v_0 at the low value, a two-valued width-s functional has
+    # every y_k = <v_k - v_0, w> in {0, s}: detect's y-set finds each one.
+    rng = random.Random(89)
+    found = 0
+    dims = set()
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        s = rng.randint(1, 3)
+        points = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 3))]
+        if affine_dim(points) != n:
+            continue
+        if rng.random() < 0.5:
+            u = _random_unimodular(rng, n, ops=2)
+            points = [mat_vec(u, x) for x in points]
+        verts = reduce_vertices(points, n).vertices
+        expected = set()
+        for w, lo, width in width_candidates(VPolytope(n, verts), s):
+            if width == s and all(dot(w, v) - lo in (0, s) for v in verts):
+                expected |= {(w, lo), (tuple(-c for c in w), -(lo + s))}
+        got = set()
+        for w in _functionals(verts, itertools.product((0, s), repeat=n)):
+            lo = dot(w, verts[0])
+            if all(dot(w, v) - lo in (0, s) for v in verts):
+                got |= {(w, lo), (tuple(-c for c in w), -(lo + s))}
+        assert got == expected, (verts, s)
+        found += bool(expected)
+        dims.add(n)
+    assert dims == {1, 2, 3, 4, 5}
+    assert found >= 25
+
+
 def test_detect_dilated_triangle_none():
     assert detect(vertices(generate("simplex", 2, 2)), 1) is None
+
+
+@pytest.mark.parametrize("s", [0, -1, 1.5])
+def test_detect_rejects_bad_order(s):
+    with pytest.raises(ValueError, match="width bound must be a positive integer"):
+        detect(vertices(generate("lawrence", 1, 1)), s)
 
 
 def test_detect_simplex_full_order():
@@ -280,6 +319,7 @@ def _exhaustive_best_k(p, s):
 
 
 def test_detect_matches_exhaustive_enumeration():
+    three = build([segment(1), segment(2), segment(1)], 1)
     cases = [
         (vertices(generate("simplex", 1, 2)), 1),
         (vertices(generate("simplex", 2, 2)), 1),
@@ -287,12 +327,20 @@ def test_detect_matches_exhaustive_enumeration():
         (vertices(generate("cube", 2)), 1),
         (vertices(generate("lawrence", 2, 3)), 1),
         (build([segment(2), segment(2)], 2), 2),
+        (build([segment(1), segment(2), segment(1)], 3), 3),
+        (apply_unimodular(three, ((1, 0, 1), (0, 1, 0), (1, 1, 2)), (0, 0, 0)), 1),
     ]
     for p, s in cases:
         assert len(width_candidates(p, s)) <= 8
         dec = detect(p, s)
         got = dec.k if dec is not None else 0
         assert got == _exhaustive_best_k(p, s)
+
+
+def test_detect_order_three_sum_of_seven_segments():
+    p = build_strict([segment(l) for l in (1, 2, 3, 1, 2, 3, 1)], 3)
+    dec = detect(p, 3)
+    assert dec is not None and dec.k == 6 and dec.s == 3 and dec.strict is True
 
 
 def test_localsplit_five_points_order_two():
@@ -382,6 +430,17 @@ def test_same_normal_fan_points_and_segments():
     tri = vertices(generate("simplex", 1, 2))
     sq = vertices(generate("cube", 2))
     assert same_normal_fan(tri, sq) is False
+
+
+def test_same_normal_fan_empty_or_mixed_dimension():
+    empty = VPolytope(1, ())
+    assert same_normal_fan(empty, empty) is False
+    assert same_normal_fan(empty, segment(2)) is False
+    assert same_normal_fan(segment(2), empty) is False
+    square = vertices(generate("cube", 2))
+    flat = VPolytope(2, ((0, 0), (1, 0)))
+    assert same_normal_fan(square, flat) is False
+    assert same_normal_fan(flat, square) is False
 
 
 def test_same_normal_fan_parallel_lower_dimensional_segments():

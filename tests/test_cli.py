@@ -251,6 +251,22 @@ def test_over_ray_budget_exit_2(tmp_path, capsys):
     assert good_entry["report"]["lattice_point_count"] == 3
 
 
+def test_rational_vertex_exit_2(tmp_path, capsys):
+    # 0 <= x <= 1/2 has the vertex 1/2.
+    indir = tmp_path / "in"
+    indir.mkdir()
+    bad = write_hrep(indir / "a_half.json", [[1], [-1]], [0, "1/2"])
+    write_gen(indir, "b_good.json", "simplex", 1, 2)
+    assert main(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid polytope: non-integer vertex (") and err.count("\n") == 1
+    out = tmp_path / "report.json"
+    assert main(["batch", str(indir), "--out", str(out)]) == 0
+    bad_entry, good_entry = json.loads(out.read_text())["reports"]
+    assert bad_entry["error"].startswith("non-integer vertex (")
+    assert good_entry["report"]["lattice_point_count"] == 3
+
+
 def test_main_repeated_in_one_process(tmp_path, capsys):
     target = write_gen(tmp_path, "twodelta.json", "simplex", 2, 2)
     assert main(["analyze", str(target), "--json"]) == 0
@@ -301,6 +317,15 @@ def test_cayley_detect_prism(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "k: 1" in out
     assert "strict: True" in out
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_cayley_detect_bad_order_exit_1(tmp_path, capsys, order):
+    target = write_gen(tmp_path, "segment.json", "simplex", 1, 1)
+    assert main(["cayley", "detect", str(target), "--order", order]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: width bound must be a positive integer\n"
 
 
 def test_cayley_detect_writes_summands(tmp_path, capsys):
