@@ -177,11 +177,6 @@ def width_candidates(p: VPolytope, s: int):
     return out
 
 
-def _snf_all_ones(rows) -> bool:
-    _, d, _ = smith_normal_form(rows)
-    return all(d[i][i] == 1 for i in range(len(rows)))
-
-
 def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     """Search for a Cayley structure of order s on a full-dimensional
     lattice polytope, maximizing the number of heights k.
@@ -189,14 +184,20 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     Candidate projections are assembled from primitive functionals taking
     exactly two values, lo and lo + s, on the vertices, in either orientation.
     Oriented so that v_0 sits at lo, each has every y_k = <v_k - v_0, w> in
-    {0, s}, so the 2^n - 1 nonzero y of {0, s}^n give each pair once.  A valid
-    choice partitions the vertices into k + 1 nonempty height classes and
-    spans a surjection onto Z^k.  Ties are broken toward the
-    lexicographically smallest functional matrix.
+    {0, s}, so the 2^n - 1 nonzero y of {0, s}^n give each pair once.  The
+    class of a candidate, its vertices at lo + s, is a bit mask over the
+    vertex indices; the other orientation has the complementary mask.  A
+    valid choice is k candidates with pairwise disjoint classes that leave
+    some vertex at lo, so the vertices fall into k + 1 nonempty height
+    classes, and whose rows span a surjection onto Z^k (Smith form all
+    ones).  Ties are broken toward the lexicographically smallest
+    functional matrix.
 
     Two vertices form one atom when every candidate puts them at the same
     height.  Every height class is then a union of atoms, so k + 1 is at
-    most the number of atoms, and the search for k starts there.
+    most the number of atoms, which is at most the number of vertices; k is
+    also at most n, the rank of the projection, and the search for k
+    starts at min(n, atoms - 1).
     """
     n = p.dim
     ensure_lattice(p.vertices)
@@ -206,60 +207,49 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
         raise ValueError("width bound must be a positive integer")
     verts = p.vertices
     nv = len(verts)
+    full = (1 << nv) - 1
     oriented = []
     for w in _functionals(verts, itertools.product((0, s), repeat=n)):
         lo = dot(w, verts[0])
-        vals = [dot(w, v) - lo for v in verts]
-        if any(h != 0 and h != s for h in vals):
-            continue
-        cls = frozenset(i for i, h in enumerate(vals) if h == s)
-        neg_cls = frozenset(i for i, h in enumerate(vals) if h == 0)
-        oriented.append((w, lo, cls))
-        oriented.append((tuple(-c for c in w), -(lo + s), neg_cls))
-    oriented.sort(key=lambda entry: entry[0])
+        mask = 0
+        for i, v in enumerate(verts):
+            h = dot(w, v) - lo
+            if h == s:
+                mask |= 1 << i
+            elif h:
+                break
+        else:
+            oriented.append((w, lo, mask))
+            oriented.append((tuple(-c for c in w), -(lo + s), full ^ mask))
+    oriented.sort()  # by w alone, since no two candidates share one
 
-    def search(k):
-        chosen = []
-        used = set()
+    def families(start, k, used):
+        """Index tuples of k more disjoint classes from oriented[start:] that
+        leave some vertex outside `used`, in lexicographic order."""
+        if k == 0:
+            yield ()
+            return
+        for idx in range(start, len(oriented) - k + 1):
+            cls = oriented[idx][2]
+            if not cls & used and cls | used != full:
+                for rest in families(idx + 1, k - 1, used | cls):
+                    yield (idx, *rest)
 
-        def rec(start):
-            if len(chosen) == k:
-                if len(used) < nv and _snf_all_ones([w for w, _, _ in chosen]):
-                    return list(chosen)
-                return None
-            for idx in range(start, len(oriented)):
-                if len(chosen) + (len(oriented) - idx) < k:
-                    return None
-                w, lo, cls = oriented[idx]
-                if cls & used or len(used) + len(cls) >= nv:
-                    continue
-                chosen.append(oriented[idx])
-                used.update(cls)
-                hit = rec(idx + 1)
-                if hit is not None:
-                    return hit
-                chosen.pop()
-                used.difference_update(cls)
-            return None
-
-        return rec(0)
-
-    atoms = len({tuple(i in cls for _, _, cls in oriented) for i in range(nv)})
-    for k in range(min(n, nv - 1, len(oriented), atoms - 1), 0, -1):
-        chosen = search(k)
-        if chosen is None:
-            continue
-        proj = tuple(w for w, _, _ in chosen)
-        translation = tuple(lo for _, lo, _ in chosen)
-        _, _, v = smith_normal_form(proj)
-        classes = [frozenset(range(nv)) - frozenset().union(*(c for _, _, c in chosen))]
-        classes.extend(c for _, _, c in chosen)
-        summands = []
-        for cls in classes:
-            pts = [tuple(mat_vec(v, verts[i])[k:]) for i in sorted(cls)]
-            summands.append(VPolytope(n - k, tuple(sorted(set(pts)))))
-        strict = all(same_normal_fan(summands[0], q) for q in summands[1:])
-        return CayleyDecomposition(k, s, proj, translation, tuple(summands), strict)
+    atoms = len({tuple(m >> i & 1 for _, _, m in oriented) for i in range(nv)})
+    for k in range(min(n, atoms - 1), 0, -1):
+        for family in families(0, k, 0):
+            proj = tuple(oriented[i][0] for i in family)
+            _, d, v = smith_normal_form(proj)
+            if any(d[i][i] != 1 for i in range(k)):
+                continue
+            translation = tuple(oriented[i][1] for i in family)
+            masks = [oriented[i][2] for i in family]
+            summands = []
+            for mask in (full ^ sum(masks), *masks):  # disjoint: the sum is the union
+                pts = {tuple(mat_vec(v, x)[k:]) for i, x in enumerate(verts) if mask >> i & 1}
+                summands.append(VPolytope(n - k, tuple(sorted(pts))))
+            strict = all(same_normal_fan(summands[0], q) for q in summands[1:])
+            return CayleyDecomposition(k, s, proj, translation, tuple(summands), strict)
     return None
 
 

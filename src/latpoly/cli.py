@@ -43,6 +43,7 @@ def _build_parser() -> _Parser:
     p_analyze = sub.add_parser("analyze", help="report all invariants of one polytope")
     p_analyze.add_argument("file")
     p_analyze.add_argument("--json", action="store_true", dest="as_json")
+    p_analyze.set_defaults(run=_cmd_analyze)
 
     p_cayley = sub.add_parser("cayley", help="build or detect Cayley structure")
     cayley_sub = p_cayley.add_subparsers(dest="subcommand", required=True)
@@ -50,24 +51,29 @@ def _build_parser() -> _Parser:
     p_build.add_argument("files", nargs="+")
     p_build.add_argument("--order", type=int, default=1)
     p_build.add_argument("-o", "--output")
+    p_build.set_defaults(run=_cmd_cayley_build)
     p_detect = cayley_sub.add_parser("detect")
     p_detect.add_argument("file")
     p_detect.add_argument("--order", type=int, default=1)
     p_detect.add_argument("-o", "--output-dir")
+    p_detect.set_defaults(run=_cmd_cayley_detect)
 
     p_split = sub.add_parser("localsplit", help="check the split-family value")
     p_split.add_argument("files", nargs="+")
     p_split.add_argument("--order", type=int, required=True)
+    p_split.set_defaults(run=_cmd_localsplit)
 
     p_gen = sub.add_parser("gen", help="generate a named family member")
     p_gen.add_argument("family")
     p_gen.add_argument("params", nargs="*")
     p_gen.add_argument("-o", "--output")
+    p_gen.set_defaults(run=_cmd_gen)
 
     p_batch = sub.add_parser("batch", help="analyze every polytope file in a directory")
     p_batch.add_argument("directory")
     p_batch.add_argument("--out", required=True)
     p_batch.add_argument("--threads", type=int, default=1)
+    p_batch.set_defaults(run=_cmd_batch)
     return parser
 
 
@@ -163,15 +169,19 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _emit(payload: dict, output: str | None) -> None:
+    """Write a polytope payload to `output`, or print it when there is none."""
+    text = json.dumps(payload, indent=2)
+    if output:
+        Path(output).write_text(text + "\n")
+        print(f"wrote {output}")
+    else:
+        print(text)
+
+
 def _cmd_cayley_build(args) -> int:
     summands = [load_polytope(f).need_v() for f in args.files]
-    built = build(summands, args.order)
-    payload = polytope_payload(vrep=built)
-    if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit(polytope_payload(vrep=build(summands, args.order)), args.output)
     return 0
 
 
@@ -227,12 +237,7 @@ def _cmd_gen(args) -> int:
         except ValueError:
             raise _UsageError(f"family parameters must be integers: {args.params}") from None
         h = generate(args.family, *params)
-    payload = polytope_payload(hrep=h, vrep=vertices(h))
-    if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit(polytope_payload(hrep=h, vrep=vertices(h)), args.output)
     return 0
 
 
@@ -280,19 +285,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "cayley":
-            if args.subcommand == "build":
-                return _cmd_cayley_build(args)
-            return _cmd_cayley_detect(args)
-        if args.command == "localsplit":
-            return _cmd_localsplit(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "batch":
-            return _cmd_batch(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -288,7 +288,11 @@ def _random_unimodular(rng, n, ops=6):
 
 
 def _exhaustive_best_k(p, s):
-    """Independent oracle: try every subset of oriented width functionals."""
+    """Independent oracle: try every subset of oriented width functionals.
+
+    Returns the largest k with a valid family of k functionals, and the
+    lexicographically smallest of that k's projections (rows sorted), or
+    (0, None) when there is none."""
     verts = p.vertices
     nv = len(verts)
     oriented = []
@@ -302,8 +306,9 @@ def _exhaustive_best_k(p, s):
         oriented.append(
             (tuple(-c for c in w), frozenset(i for i, h in enumerate(vals) if h == 0))
         )
-    best = 0
+    best = (0, None)
     for r in range(1, len(oriented) + 1):
+        valid = []
         for combo in itertools.combinations(oriented, r):
             classes = [c for _, c in combo]
             union = set().union(*classes)
@@ -313,12 +318,14 @@ def _exhaustive_best_k(p, s):
                 continue
             _, d, _ = smith_normal_form([w for w, _ in combo])
             if all(d[i][i] == 1 for i in range(r)):
-                best = max(best, r)
-                break
+                valid.append(tuple(sorted(w for w, _ in combo)))
+        if valid:
+            best = (r, min(valid))
     return best
 
 
 def test_detect_matches_exhaustive_enumeration():
+    # The largest k, and ties go to the lexicographically smallest matrix.
     three = build([segment(1), segment(2), segment(1)], 1)
     cases = [
         (vertices(generate("simplex", 1, 2)), 1),
@@ -333,7 +340,7 @@ def test_detect_matches_exhaustive_enumeration():
     for p, s in cases:
         assert len(width_candidates(p, s)) <= 8
         dec = detect(p, s)
-        got = dec.k if dec is not None else 0
+        got = (dec.k, dec.projection) if dec is not None else (0, None)
         assert got == _exhaustive_best_k(p, s)
 
 
@@ -341,6 +348,70 @@ def test_detect_order_three_sum_of_seven_segments():
     p = build_strict([segment(l) for l in (1, 2, 3, 1, 2, 3, 1)], 3)
     dec = detect(p, 3)
     assert dec is not None and dec.k == 6 and dec.s == 3 and dec.strict is True
+
+
+GOLDEN_DETECT = [
+    (
+        vertices(generate("simplex", 1, 3)),
+        1,
+        ((-1, -1, -1), (0, 0, 1), (0, 1, 0)),
+        (-1, 0, 0),
+        [((),)] * 4,
+    ),
+    (
+        vertices(generate("lawrence", 2, 3, 4)),
+        1,
+        ((0, -1, -1), (0, 0, 1)),
+        (-1, 0),
+        [((0,), (3,)), ((0,), (2,)), ((0,), (4,))],
+    ),
+    (
+        vertices(generate("simplex", 2, 2)),
+        2,
+        ((-1, -1), (0, 1)),
+        (-2, 0),
+        [((),)] * 3,
+    ),
+    (
+        build_strict([segment(l) for l in (1, 2, 3, 1, 2, 3, 1)], 3),
+        3,
+        (
+            (0, -1, -1, -1, -1, -1, -1),
+            (0, 0, 0, 0, 0, 0, 1),
+            (0, 0, 0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 1, 0, 0),
+            (0, 0, 0, 1, 0, 0, 0),
+            (0, 0, 1, 0, 0, 0, 0),
+        ),
+        (-3, 0, 0, 0, 0, 0),
+        [((0,), (l,)) for l in (2, 1, 1, 3, 2, 1, 3)],
+    ),
+    (
+        _sheared_rectangles(((0, 1), (-1, -1))),
+        2,
+        ((0, 0, -1, -1, -1), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0)),
+        (-2, 0, 0),
+        [
+            ((0, -3), (0, 0), (1, -4), (1, -1)),
+            ((0, -1), (0, 0), (1, -2), (1, -1)),
+            ((0, -3), (0, 0), (1, -4), (1, -1)),
+            ((0, -3), (0, 0), (2, -5), (2, -2)),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "p, s, projection, translation, summands",
+    GOLDEN_DETECT,
+    ids=["simplex-1-3", "lawrence-2-3-4", "simplex-2-2", "seven-segments", "sheared-rectangles"],
+)
+def test_detect_golden_outputs(p, s, projection, translation, summands):
+    dec = detect(p, s)
+    assert dec is not None and dec.s == s and dec.strict is True
+    assert (dec.k, dec.projection, dec.translation) == (len(projection), projection, translation)
+    assert [q.vertices for q in dec.summands] == summands
+    assert all(q.dim == p.dim - dec.k for q in dec.summands)
 
 
 def test_localsplit_five_points_order_two():

@@ -464,3 +464,41 @@ def test_batch_empty_directory(tmp_path):
     assert main(["batch", str(indir), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["reports"] == []
+
+
+GOLDEN_BATCH = Path(__file__).with_name("batch_golden.json")
+
+
+def _batch_reports(tmp_path):
+    """`batch --threads 1` over a small corpus written with `gen`, plus a
+    non-smooth and a malformed file; the reports without their paths."""
+    factors = tmp_path / "factors"
+    factors.mkdir()
+    indir = tmp_path / "in"
+    indir.mkdir()
+    assert main(["gen", "simplex", "1", "1", "-o", str(factors / "segment.json")]) == 0
+    assert main(["gen", "simplex", "1", "2", "-o", str(factors / "triangle.json")]) == 0
+    for name, argv in (
+        ("a_simplex", ["simplex", "2", "3"]),
+        ("b_blowup", ["blowup", "4", "1", "3"]),
+        ("c_lawrence", ["lawrence", "1", "2", "3"]),
+        ("d_cube", ["cube", "3"]),
+        ("e_product", ["product", str(factors / "segment.json"), str(factors / "triangle.json")]),
+    ):
+        assert main(["gen", *argv, "-o", str(indir / f"{name}.json")]) == 0
+    reeve = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 3]]
+    (indir / "f_reeve.json").write_text(
+        json.dumps({"format": "latpoly/1", "dim": 3, "vrep": {"vertices": reeve}})
+    )
+    (indir / "g_malformed.json").write_text(
+        json.dumps({"format": "latpoly/1", "dim": 2, "hrep": {"normals": [[1, 0]]}})
+    )
+    out = tmp_path / "report.json"
+    assert main(["batch", str(indir), "--out", str(out), "--threads", "1"]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert [entry.pop("input") for entry in reports] == [str(p) for p in sorted(indir.iterdir())]
+    return reports
+
+
+def test_batch_reports_match_golden(tmp_path, capsys):
+    assert _batch_reports(tmp_path) == json.loads(GOLDEN_BATCH.read_text())
