@@ -177,6 +177,11 @@ def width_candidates(p: VPolytope, s: int):
     return out
 
 
+# Steps detect may take, one per y it solves and one per node of its family
+# search: about a second.  The 14-segment prism takes 16,383 y and 14 nodes.
+DETECT_BUDGET = 2**15
+
+
 def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     """Search for a Cayley structure of order s on a full-dimensional
     lattice polytope, maximizing the number of heights k.
@@ -197,7 +202,7 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     height.  Every height class is then a union of atoms, so k + 1 is at
     most the number of atoms, which is at most the number of vertices; k is
     also at most n, the rank of the projection, and the search for k
-    starts at min(n, atoms - 1).
+    starts at min(n, atoms - 1).  Past DETECT_BUDGET steps, InvalidPolytope.
     """
     n = p.dim
     ensure_lattice(p.vertices)
@@ -205,6 +210,15 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
         raise InvalidPolytope("detection needs a full-dimensional polytope")
     if not isinstance(s, int) or s < 1:
         raise ValueError("width bound must be a positive integer")
+    steps = 0
+
+    def spend(count):
+        nonlocal steps
+        steps += count
+        if steps > DETECT_BUDGET:
+            raise InvalidPolytope(f"Cayley detection passed {steps} steps, budget {DETECT_BUDGET}")
+
+    spend(2**n - 1)
     verts = p.vertices
     nv = len(verts)
     full = (1 << nv) - 1
@@ -226,6 +240,7 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     def families(start, k, used):
         """Index tuples of k more disjoint classes from oriented[start:] that
         leave some vertex outside `used`, in lexicographic order."""
+        spend(1)
         if k == 0:
             yield ()
             return

@@ -19,7 +19,6 @@ ranges over an interval of lattice points, listed or just counted.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,18 +26,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvalidPolytope
-from .ratlin import (
-    adjugate,
-    det,
-    dot,
-    independent,
-    mat_mul,
-    mat_vec,
-    primitive,
-    rank,
-    vadd,
-    vsub,
-)
+from .ratlin import adjugate_times, dot, primitive, rank, vsub
 
 Point = tuple
 Facet = tuple  # (normal, offset)
@@ -159,11 +147,6 @@ def _point(y: tuple[int, ...]) -> Point:
     return y[:-1] if t == 1 else tuple(_q(Fraction(c, t)) for c in y[:-1])
 
 
-def is_empty(p: HPolytope) -> bool:
-    """True iff no ray of the cone over p has t > 0."""
-    return not any(y[-1] for y, _ in _cone_over(p.facets, p.dim)[0])
-
-
 def _cone_points(p: HPolytope) -> list[tuple[Point, int]]:
     """The points (x, zero mask) of the rays with t > 0 of the cone over p,
     none when p is empty.  InvalidPolytope when p is nonempty and unbounded:
@@ -243,9 +226,9 @@ def vertex_data(p: HPolytope) -> tuple[VertexData, ...]:
         incident = tuple(i for i in range(len(p.facets)) if zero >> i & 1)
         u = None
         if len(incident) == n:
-            d, adj = adjugate([p.facets[i][0] for i in incident])
+            d, sums = adjugate_times([p.facets[i][0] for i in incident], ((1,),) * n)
             if abs(d) == 1:  # u = adj 1 / d
-                u = tuple(d * sum(row) for row in adj)
+                u = tuple(d * row[0] for row in sums)
         data.append(VertexData(x, incident, u))
     return tuple(data)
 
@@ -445,71 +428,3 @@ def reduce_vertices(points: Sequence[Point], dim: int) -> VPolytope:
         if meet == 1 << i:
             keep.append(pt)
     return VPolytope(dim, tuple(keep))
-
-
-def apply_unimodular(q: VPolytope, u: Sequence[Sequence[int]], t: Sequence[int]) -> VPolytope:
-    """Image of a vertex presentation under x -> U x + t."""
-    pts = sorted(tuple(vadd(mat_vec(u, v), t)) for v in q.vertices)
-    return VPolytope(q.dim, tuple(pts))
-
-
-@lru_cache(maxsize=None)
-def _edge_directions(q: VPolytope):
-    """Primitive edge directions at every vertex, via the facet structure."""
-    h = facets(q)
-    data = vertex_data(h)
-    incident = {v.point: frozenset(v.incident) for v in data}
-    verts = [v.point for v in data]
-    dirs = {v: [] for v in verts}
-    n = q.dim
-    for x, y in itertools.combinations(verts, 2):
-        common = incident[x] & incident[y]
-        normals = [h.facets[i][0] for i in common]
-        r = rank(normals) if normals else 0
-        if r == n - 1:
-            d = primitive(vsub(y, x))
-            dirs[x].append(d)
-            dirs[y].append(tuple(-c for c in d))
-    return verts, dirs
-
-
-def lattice_equivalent(p: VPolytope, q: VPolytope):
-    """Search for (U, t) with U unimodular mapping p onto q, or None.
-
-    One vertex of p is fixed together with n independent primitive edge
-    directions; every (vertex, ordered edge tuple) of q is tried as its
-    image, the linear part is solved for exactly, and the full vertex map
-    is verified.
-    """
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    n = p.dim
-    ensure_lattice(p.vertices)
-    ensure_lattice(q.vertices)
-    if n == 0:
-        return (), ()
-    verts_p, dirs_p = _edge_directions(p)
-    verts_q, dirs_q = _edge_directions(q)
-    if len(verts_p) != len(verts_q):
-        return None
-    target = set(verts_q)
-    v0 = verts_p[0]
-    chosen = [dirs_p[v0][i] for i in independent(dirs_p[v0])]
-    if len(chosen) < n:
-        return None
-    dmat = tuple(zip(*chosen))  # columns are the chosen directions
-    d, adj = adjugate(dmat)
-    for w in verts_q:
-        for perm in itertools.permutations(dirs_q[w], n):
-            fmat = tuple(zip(*perm))
-            if abs(det(fmat)) != abs(d):
-                continue
-            u = mat_mul(fmat, adj)  # d times the linear part
-            if any(x % d for row in u for x in row):
-                continue
-            u = tuple(tuple(x // d for x in row) for row in u)
-            t = vsub(w, mat_vec(u, v0))
-            image = {tuple(vadd(mat_vec(u, v), t)) for v in verts_p}
-            if image == target:
-                return u, t
-    return None

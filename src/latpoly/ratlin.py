@@ -22,21 +22,12 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(operator.mul, u, v))
 
 
-def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(map(operator.add, u, v))
-
-
 def vsub(u: Sequence, v: Sequence) -> tuple:
     return tuple(map(operator.sub, u, v))
 
 
 def mat_vec(rows: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(dot(r, v) for r in rows)
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    cols = list(zip(*b))
-    return tuple(tuple(dot(r, c) for c in cols) for r in a)
 
 
 def identity(n: int) -> IntMatrix:
@@ -78,15 +69,15 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def adjugate(rows: Sequence[Sequence[int]]):
-    """(det A, adj A) of a square integer matrix, adj A = det A * A^-1, by
-    fraction-free Gauss-Jordan elimination on [A | I] with row swaps
-    (Bareiss, Math. Comp. 22, 1968): every update divides exactly by the
-    previous pivot.  adj A is None when A is singular."""
+def adjugate_times(rows: Sequence[Sequence[int]], block: Sequence[Sequence[int]]):
+    """(det A, adj(A) B) for a square integer matrix A, adj A = det A * A^-1,
+    and an integer block B of as many rows, by fraction-free Gauss-Jordan
+    elimination on [A | B] with row swaps (Bareiss, Math. Comp. 22, 1968): every
+    update divides exactly by the previous pivot.  None for adj(A) B if det A = 0."""
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("adjugate needs a square matrix")
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    if any(len(r) != n for r in rows) or len(block) != n:
+        raise ValueError("adjugate needs a square matrix and a block of as many rows")
+    m = [list(r) + list(b) for r, b in zip(rows, block)]
     sign = 1
     prev = 1
     for k in range(n):
@@ -102,8 +93,13 @@ def adjugate(rows: Sequence[Sequence[int]]):
                 f = m[i][k]
                 m[i] = [(top[k] * x - f * y) // prev for x, y in zip(m[i], top)]
         prev = top[k]
-    # With P the row swaps, [A | I] is now [det(PA) I | det(PA) A^-1].
+    # With P the row swaps, [A | B] is now [det(PA) I | det(PA) A^-1 B].
     return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
+
+
+def adjugate(rows: Sequence[Sequence[int]]):
+    """(det A, adj A), adj A None when A is singular: adjugate_times with B = I."""
+    return adjugate_times(rows, identity(len(rows)))
 
 
 def independent(rows: Sequence[Sequence]) -> list[int]:

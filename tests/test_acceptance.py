@@ -35,16 +35,15 @@ from latpoly.invariants import (
 )
 from latpoly.polytope import (
     VPolytope,
-    apply_unimodular,
     facets,
     is_smooth,
-    lattice_equivalent,
     lattice_points,
     shrink,
     vertex_data,
     vertices,
 )
 from latpoly.ratlin import dot, smith_normal_form
+from oracles import apply_unimodular, dual_degree, lattice_equivalent
 
 
 def _report(name):
@@ -397,3 +396,23 @@ def test_smooth_builds_have_smooth_summands(strict_builds):
     for q in rough:
         assert is_smooth(facets(q))[0] is True
     _report("summand smoothness")
+
+
+def test_dual_degree_oracle(corpus_reports):
+    # Delta_2 is dual defective; 2 Delta_2 gives the degree 3 of the
+    # discriminant of ternary quadrics, and the 3-cube the degree 4 of
+    # Cayley's hyperdeterminant.
+    assert dual_degree(generate("simplex", 1, 2)) == 0
+    assert dual_degree(generate("simplex", 2, 2)) == 3
+    assert dual_degree(generate("cube", 3)) == 4
+    assert dual_degree(generate("cube", 3), seed=1) == 4
+    # Where the classification applies, classify predicts a dual defect
+    # 2c - 2 - n >= 1, so the dual variety is not a hypersurface.
+    applied = 0
+    for name, h, report in corpus_reports:
+        if report.classification_applies:
+            assert report.predicted_defect >= 1, name
+            assert dual_degree(h) == 0, name
+            applied += 1
+    assert applied >= 100
+    _report("dual defect against the GKZ degree")

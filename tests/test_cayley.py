@@ -5,7 +5,9 @@ import random
 import pytest
 from fractions import Fraction
 
+from latpoly import cayley
 from latpoly.cayley import (
+    DETECT_BUDGET,
     _functionals,
     build,
     build_strict,
@@ -21,15 +23,14 @@ from latpoly.errors import InvalidPolytope
 from latpoly.polytope import (
     VPolytope,
     affine_dim,
-    apply_unimodular,
     facets,
     is_smooth,
-    lattice_equivalent,
     normal_fan_equal,
     reduce_vertices,
     vertices,
 )
 from latpoly.ratlin import dot, mat_vec, rank, smith_normal_form, solve_exact, vsub
+from oracles import apply_unimodular, lattice_equivalent
 
 
 def test_build_order_two_cayley_of_segments():
@@ -238,6 +239,20 @@ def test_detect_dilated_triangle_order_two():
     dec = detect(vertices(generate("simplex", 2, 2)), 2)
     assert dec is not None and dec.k == 2 and dec.s == 2
     assert all(len(s.vertices) == 1 for s in dec.summands)
+
+
+def test_detect_rejects_dimension_over_budget_at_once():
+    prism = build([segment(1 + i % 2) for i in range(20)], 1)
+    with pytest.raises(InvalidPolytope, match=f"passed {2**20 - 1} steps, budget {DETECT_BUDGET}"):
+        detect(prism, 1)
+
+
+def test_detect_counts_family_nodes_against_budget(monkeypatch):
+    prism = build([segment(1), segment(2), segment(1)], 1)
+    assert detect(prism, 1).k == 2
+    monkeypatch.setattr(cayley, "DETECT_BUDGET", 2**3 - 1)
+    with pytest.raises(InvalidPolytope, match=f"passed {2**3} steps, budget {2**3 - 1}"):
+        detect(prism, 1)
 
 
 def test_detect_projection_maps_vertices_to_height_pattern():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import latpoly
 from latpoly import lpx
-from latpoly.cayley import generate, lattice_point
+from latpoly.cayley import DETECT_BUDGET, build, generate, lattice_point, segment
 from latpoly.cli import main
 from latpoly.errors import InvalidPolytope, InvariantViolation
 from latpoly.fileio import (
@@ -317,6 +317,17 @@ def test_cayley_detect_prism(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "k: 1" in out
     assert "strict: True" in out
+
+
+def test_cayley_detect_over_budget_exit_2(tmp_path, capsys):
+    target = tmp_path / "prism20.json"
+    save_polytope(target, vrep=build([segment(1 + i % 2) for i in range(20)], 1))
+    assert main(["cayley", "detect", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"invalid polytope: Cayley detection passed {2**20 - 1} steps, budget {DETECT_BUDGET}\n"
+    )
 
 
 @pytest.mark.parametrize("order", ["0", "-1"])

@@ -15,15 +15,12 @@ from latpoly.polytope import (
     _lattice_fibres,
     _q,
     affine_dim,
-    apply_unimodular,
     canonicalize,
     facets,
     hpolytope,
     contains,
     is_bounded,
-    is_empty,
     is_smooth,
-    lattice_equivalent,
     lattice_point_count,
     lattice_points,
     normal_fan_equal,
@@ -33,6 +30,7 @@ from latpoly.polytope import (
     vertices,
 )
 from latpoly.ratlin import UNIQUE, det, dot, primitive, solve_exact, vsub
+from oracles import apply_unimodular, is_empty, lattice_equivalent
 
 # Small builders used across the suite.
 

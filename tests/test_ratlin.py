@@ -8,16 +8,17 @@ from latpoly.ratlin import (
     NON_UNIQUE,
     UNIQUE,
     adjugate,
+    adjugate_times,
     det,
     dot,
     identity,
     independent,
-    mat_mul,
     primitive,
     rank,
     smith_normal_form,
     solve_exact,
 )
+from oracles import mat_mul
 
 
 def test_primitive_examples():
@@ -170,6 +171,20 @@ def test_adjugate_random():
         else:
             assert mat_mul(a, adj) == tuple(tuple(d * x for x in r) for r in identity(n))
     assert singular >= 40
+
+
+
+def test_adjugate_times_random():
+    rng = random.Random(37)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        width = rng.randint(1, 3)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(n)]
+        d, adj = adjugate(a)
+        assert adjugate_times(a, b) == (d, None if adj is None else mat_mul(adj, b))
+    with pytest.raises(ValueError):
+        adjugate_times(((1, 0), (0, 1)), ((1,),))
 
 
 def _fraction_rank(rows):

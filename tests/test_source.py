@@ -1,6 +1,6 @@
-"""Source guards for two fixed properties of the package: exact arithmetic
-(no float literal and no float() call in the core) and a runtime that
-imports nothing beyond the standard library."""
+"""Source guards for three fixed properties of the package: exact arithmetic
+(no float literal and no float() call in the core), a runtime that imports
+nothing beyond the standard library, and no code that only tests call."""
 
 import ast
 import sys
@@ -9,6 +9,7 @@ from pathlib import Path
 import latpoly
 
 SOURCES = sorted(Path(latpoly.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 
 def test_sources_found():
@@ -36,3 +37,38 @@ def test_imports_stdlib_only():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}:{node.lineno} {name}"
+
+
+def _traced():
+    """The (module, function) pairs of TRACED in benchmarks/tracer.py, which
+    wraps them by name: read off its source, not imported."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            return {f"{m}.{f}" for m, f in ast.literal_eval(node.value)}
+    raise AssertionError("no TRACED list in benchmarks/tracer.py")
+
+
+def test_every_definition_has_a_runtime_use():
+    # A module-level def or class is public, used by other package code, or
+    # wrapped by the benchmark tracer.  lpx, the tests' LP oracle, stays in
+    # the package while the tracer wraps lpx.solve.
+    used = {}  # name -> the top-level statements that mention it
+    defined = []
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and path.stem != "lpx":
+                defined.append((f"{path.stem}.{stmt.name}", stmt))
+            for node in ast.walk(stmt):
+                if isinstance(getattr(node, "ctx", None), ast.Load):
+                    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                    used.setdefault(name, set()).add(id(stmt))
+    public = set(latpoly.__all__)
+    traced = _traced()
+    unused = [
+        qualified
+        for qualified, stmt in defined
+        if stmt.name not in public
+        and qualified not in traced
+        and not used.get(stmt.name, set()) - {id(stmt)}
+    ]
+    assert unused == []
