@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidPolytope
 from .invariants import nef_value, qcodegree
@@ -27,8 +27,7 @@ from .polytope import (
 from .ratlin import adjugate, dot, independent, mat_vec, rank, smith_normal_form, vsub
 
 
-@dataclass(frozen=True)
-class CayleyDecomposition:
+class CayleyDecomposition(NamedTuple):
     """Projection data exhibiting P as a Cayley polytope of order s.
 
     The rows of `projection` span a surjection onto Z^k; after subtracting
@@ -45,8 +44,7 @@ class CayleyDecomposition:
     strict: bool
 
 
-@dataclass(frozen=True)
-class LocalsplitReport:
+class LocalsplitReport(NamedTuple):
     """Outcome of the split-family value check on a strict Cayley build."""
 
     applicable: bool
@@ -326,7 +324,7 @@ def generate(family: str, *params) -> HPolytope:
             offsets.append(1)
         return canonicalize(hpolytope(normals, offsets))
     if family == "lawrence":
-        if len(params) == 1 and isinstance(params[0], (list, tuple)):
+        if len(params) == 1 and type(params[0]) in (list, tuple):  # lengths; records are tuples too
             params = tuple(params[0])
         lengths = _int_params(params, len(params))
         if len(lengths) < 2:

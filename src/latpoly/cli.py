@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -36,6 +37,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache  # parse_args keeps no state in the parser; built on first use
 def _build_parser() -> _Parser:
     parser = _Parser(prog="latpoly", description="Exact lattice polytope invariants")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,9 +284,8 @@ def _cmd_batch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.run(args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)

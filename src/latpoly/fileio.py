@@ -8,9 +8,9 @@ here accept both forms everywhere.  Rationals are written as "p/q" strings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InvalidPolytope
 from .polytope import (
@@ -69,8 +69,7 @@ def decode_rational(value):
     raise InvalidPolytope(f"expected a rational, got {value!r}")
 
 
-@dataclass(frozen=True)
-class LoadedPolytope:
+class LoadedPolytope(NamedTuple):
     """A polytope read from disk, with lazily derived presentations."""
 
     dim: int

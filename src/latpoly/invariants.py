@@ -7,8 +7,8 @@ All functions take a canonical bounded full-dimensional facet presentation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidPolytope, InvariantViolation, TheoremViolation
 from .polytope import (
@@ -121,8 +121,7 @@ def is_q_normal(p: HPolytope) -> bool:
     return qcodegree(p) == nef_value(p)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     dim: int
     codegree: int
     degree: int

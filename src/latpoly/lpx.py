@@ -12,9 +12,8 @@ module that benchmarks/tracer.py wraps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -24,15 +23,13 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(NamedTuple):
     objective: tuple[Fraction, ...]
     lhs: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class LPVerdict:
+class LPVerdict(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
     point: tuple[Fraction, ...] | None = None

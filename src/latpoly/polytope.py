@@ -20,10 +20,9 @@ ranges over an interval of lattice points, listed or just counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidPolytope
 from .ratlin import adjugate_times, dot, primitive, rank, vsub
@@ -38,20 +37,17 @@ def _q(x):
     return int(f) if f.denominator == 1 else f
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(NamedTuple):
     dim: int
     facets: tuple[Facet, ...]
 
 
-@dataclass(frozen=True)
-class VPolytope:
+class VPolytope(NamedTuple):
     dim: int
     vertices: tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class VertexData:
+class VertexData(NamedTuple):
     point: Point
     incident: tuple[int, ...]
     u: tuple[int, ...] | None  # solves <rho_i, u> = 1 over the incident normals
@@ -209,7 +205,13 @@ def canonicalize(p: HPolytope) -> HPolytope:
     return HPolytope(p.dim, kept)
 
 
-@lru_cache(maxsize=None)
+# Entries each of the vertex_data and facets caches keeps.  Their repeat
+# calls fall within one file or one Cayley family, so a long batch or
+# library session needs only the recent ones.
+CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def vertex_data(p: HPolytope) -> tuple[VertexData, ...]:
     """All vertices with their incident facet sets, sorted by point.
 
@@ -245,7 +247,7 @@ def affine_dim(points: Sequence[Point]) -> int:
     return rank(diffs) if diffs else 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def facets(q: VPolytope) -> HPolytope:
     """Exact convex hull of a full-dimensional vertex presentation.
 

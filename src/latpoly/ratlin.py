@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -132,8 +131,7 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(independent(rows))
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     """Verdict of an exact linear solve: unique point, none, or many."""
 
     status: str  # "unique" | "no-solution" | "non-unique"

@@ -287,6 +287,38 @@ def test_usage_error_exit_1():
     assert main(["nosuchcommand"]) == 1
 
 
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    assert latpoly.cli._build_parser() is latpoly.cli._build_parser()
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: latpoly")
+    assert main(["analyze"]) == 1
+    rectangle = tmp_path / "rectangle.json"  # [0, 1] x [0, 2]: Cayley of order 1 and of order 2
+    save_polytope(rectangle, vrep=VPolytope(2, ((0, 0), (0, 2), (1, 0), (1, 2))))
+    assert main(["cayley", "detect", str(rectangle), "--order", "2"]) == 0
+    assert "order: 2" in capsys.readouterr().out
+    assert main(["cayley", "detect", str(rectangle)]) == 0
+    assert "order: 1" in capsys.readouterr().out  # the default, not the last --order
+    target = write_gen(tmp_path, "blowup.json", "blowup", 4, 1, 3)
+    assert main(["analyze", str(target), "--json"]) == 0
+    here = json.loads(capsys.readouterr().out)
+    fresh = _run_python("-m", "latpoly.cli", "analyze", str(target), "--json")
+    assert fresh.returncode == 0, fresh.stderr
+    there = json.loads(fresh.stdout)
+    del here["wall_time_seconds"], there["wall_time_seconds"]
+    assert list(here.items()) == list(there.items())
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    script = "import sys; before = set(sys.modules); import latpoly.cli; print(*sorted(set(sys.modules) - before))"
+    done = _run_python("-S", "-c", script)  # -S: no site hook loads modules first
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "latpoly.cli" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
 def test_internal_violation_exit_3(tmp_path, monkeypatch, capsys):
     target = write_gen(tmp_path, "simplex.json", "simplex", 1, 2)
 
@@ -444,6 +476,14 @@ print("pool imported:", "concurrent.futures" in sys.modules)
 """
 
 
+def _run_python(*args):
+    """A fresh interpreter that imports this checkout's package."""
+    src = str(Path(latpoly.__file__).resolve().parents[1])
+    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_batch_one_thread_runs_in_calling_thread(tmp_path):
     # A fresh process, so that no other test's import of concurrent.futures
     # shows: neither --threads 1 nor --threads 2 starts a pool, and both
@@ -454,13 +494,7 @@ def test_batch_one_thread_runs_in_calling_thread(tmp_path):
     write_gen(indir, "blowup.json", "blowup", 4, 2, 3)
     write_hrep(indir / "unbounded.json", [[1, 0], [0, 1]], [0, 0])
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    src = str(Path(latpoly.__file__).resolve().parents[1])
-    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    done = subprocess.run(
-        [sys.executable, "-c", _BATCH_SCRIPT, str(indir), str(out1), str(out2)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = _run_python("-c", _BATCH_SCRIPT, str(indir), str(out1), str(out2))
     assert done.returncode == 0, done.stderr
     flags = [line for line in done.stdout.splitlines() if line.startswith("pool imported:")]
     assert flags == ["pool imported: False"]

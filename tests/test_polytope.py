@@ -795,3 +795,26 @@ def test_reduce_vertices_matches_lp_reference():
         assert got == _lp_extreme_points(pts, n), pts
         dims.add((n, len(got)))
     assert len(dims) > 10
+
+
+@pytest.mark.parametrize("cached", ["vertex_data", "facets"])
+def test_caches_are_bounded(cached):
+    # Boxes [0, d] x [0, 1], one distinct argument per d, in the form each
+    # cache takes.
+    fn = getattr(polytope, cached)
+    size = fn.cache_info().maxsize
+    assert size is not None
+    args = [
+        hpolytope([[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, d, 1])
+        if cached == "vertex_data"
+        else VPolytope(2, ((0, 0), (0, 1), (d, 0), (d, 1)))
+        for d in range(1, size + 17)
+    ]
+    for arg in args:
+        fn(arg)
+    assert fn.cache_info().currsize <= size
+    before = fn.cache_info()
+    result = fn(args[-1])
+    assert fn(args[-1]) is result
+    after = fn.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)

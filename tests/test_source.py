@@ -1,6 +1,7 @@
-"""Source guards for three fixed properties of the package: exact arithmetic
+"""Source guards for four fixed properties of the package: exact arithmetic
 (no float literal and no float() call in the core), a runtime that imports
-nothing beyond the standard library, and no code that only tests call."""
+nothing beyond the standard library, no code that only tests call, and no
+`dataclasses` on the start-up path."""
 
 import ast
 import sys
@@ -26,7 +27,8 @@ def test_no_floats_in_the_core():
             ), where
 
 
-def test_imports_stdlib_only():
+def _imports():
+    """(file:line, module) of every absolute import in the package."""
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -36,7 +38,12 @@ def test_imports_stdlib_only():
             else:
                 continue
             for name in names:
-                assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}:{node.lineno} {name}"
+                yield f"{path.name}:{node.lineno}", name
+
+
+def test_imports_stdlib_only():
+    for where, name in _imports():
+        assert name.split(".")[0] in sys.stdlib_module_names, f"{where} {name}"
 
 
 def _traced():
@@ -72,3 +79,9 @@ def test_every_definition_has_a_runtime_use():
         and not used.get(stmt.name, set()) - {id(stmt)}
     ]
     assert unused == []
+
+
+def test_no_dataclasses_import():
+    # The records are NamedTuples: importing dataclasses (and inspect behind
+    # it) would put several milliseconds into every process start.
+    assert [where for where, name in _imports() if name == "dataclasses"] == []
