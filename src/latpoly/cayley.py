@@ -24,7 +24,7 @@ from .polytope import (
     normal_fan_equal,
     reduce_vertices,
 )
-from .ratlin import adjugate, dot, independent, mat_vec, rank, smith_normal_form, vsub
+from .ratlin import adjugate, dot, identity, independent, mat_vec, rank, smith_normal_form, vsub
 
 
 class CayleyDecomposition(NamedTuple):
@@ -176,8 +176,8 @@ def width_candidates(p: VPolytope, s: int):
 
 
 # Steps detect may take, one per y it solves and one per node of its family
-# search: about a second.  The 14-segment prism takes 16,383 y and 14 nodes.
-DETECT_BUDGET = 2**15
+# search: about 1.5 s.  The 15-segment prism takes 32,767 y and 15 nodes.
+DETECT_BUDGET = 2**15 + 2**10
 
 
 def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
@@ -193,8 +193,9 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     valid choice is k candidates with pairwise disjoint classes that leave
     some vertex at lo, so the vertices fall into k + 1 nonempty height
     classes, and whose rows span a surjection onto Z^k (Smith form all
-    ones).  Ties are broken toward the lexicographically smallest
-    functional matrix.
+    ones).  At s = 1 that test cannot fail: for v_0 at height 0 and each v_j
+    in class j, the rows send v_j - v_0 to e_j.  Ties are broken toward the
+    lexicographically smallest functional matrix.
 
     Two vertices form one atom when every candidate puts them at the same
     height.  Every height class is then a union of atoms, so k + 1 is at
@@ -275,11 +276,11 @@ def check_localsplit(summands, s: int) -> LocalsplitReport:
     """
     built = build_strict(summands, s)
     k = len(summands) - 1
-    dims = tuple(affine_dim(q.vertices) for q in summands)
+    dims = (affine_dim(summands[0].vertices),) * (k + 1)  # one normal fan: one dimension
     h = facets(built)
     smooth, _ = is_smooth(h)
     expected = _q(Fraction(k + 1, s))
-    applicable = smooth and all(d + 1 < Fraction(k + 1, s) for d in dims)
+    applicable = smooth and dims[0] + 1 < expected
     tau = None
     qc = None
     verdict = False
@@ -300,7 +301,7 @@ def generate(family: str, *params) -> HPolytope:
         d, n = _int_params(params, 2)
         if d < 1 or n < 1:
             raise ValueError("simplex needs d >= 1 and n >= 1")
-        normals = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]
+        normals = [*identity(n), [-1] * n]
         return canonicalize(hpolytope(normals, [0] * n + [d]))
     if family == "blowup":
         d, lam, n = _int_params(params, 3)
@@ -308,21 +309,14 @@ def generate(family: str, *params) -> HPolytope:
             raise ValueError("blowup needs ambient dimension at least 2")
         if not 1 <= lam < d:
             raise ValueError("blowup needs 1 <= lam < d")
-        normals = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n, [1] * n]
+        normals = [*identity(n), [-1] * n, [1] * n]
         return canonicalize(hpolytope(normals, [0] * n + [d, -lam]))
     if family == "cube":
         (n,) = _int_params(params, 1)
         if n < 1:
             raise ValueError("cube needs n >= 1")
-        normals = []
-        offsets = []
-        for i in range(n):
-            e = [int(i == j) for j in range(n)]
-            normals.append(e)
-            offsets.append(0)
-            normals.append([-c for c in e])
-            offsets.append(1)
-        return canonicalize(hpolytope(normals, offsets))
+        normals = [*identity(n), *(tuple(-c for c in e) for e in identity(n))]
+        return canonicalize(hpolytope(normals, [0] * n + [1] * n))
     if family == "lawrence":
         if len(params) == 1 and type(params[0]) in (list, tuple):  # lengths; records are tuples too
             params = tuple(params[0])

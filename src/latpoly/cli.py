@@ -19,6 +19,7 @@ from .errors import InvalidPolytope, InvariantViolation
 from .fileio import (
     BATCH_FORMAT,
     REPORT_FORMAT,
+    encode_int,
     encode_rational,
     load_polytope,
     polytope_payload,
@@ -85,14 +86,12 @@ def _analyze_payload(path: str) -> dict:
     v = loaded.need_v()
     smooth, witness = is_smooth(h)
     payload = {
-        "format": REPORT_FORMAT,
-        "input": str(path),
         "tool_version": __version__,
         "dim": h.dim,
         "vertex_count": len(v.vertices),
-        "lattice_point_count": lattice_point_count(h),
+        "lattice_point_count": encode_int(lattice_point_count(h)),
         "smooth": smooth,
-        "smooth_witness": None if witness is None else list(witness),
+        "smooth_witness": None if witness is None else [encode_int(c) for c in witness],
         "codegree": None,
         "degree": None,
         "qcodegree": None,
@@ -141,7 +140,7 @@ def _print_report(payload: dict, as_json: bool, wall: float) -> None:
         f"smooth:                {payload['smooth']}",
     ]
     if payload["smooth_witness"] is not None:
-        lines.append(f"non-smooth vertex:     {tuple(payload['smooth_witness'])}")
+        lines.append(f"non-smooth vertex:     {tuple(map(int, payload['smooth_witness']))}")
     lines += [
         f"codegree:              {payload['codegree']}",
         f"degree:                {payload['degree']}",
@@ -166,7 +165,7 @@ def _print_report(payload: dict, as_json: bool, wall: float) -> None:
 
 def _cmd_analyze(args) -> int:
     start = time.perf_counter()
-    payload = _analyze_payload(args.file)
+    payload = {"format": REPORT_FORMAT, "input": args.file, **_analyze_payload(args.file)}
     _print_report(payload, args.as_json, time.perf_counter() - start)
     return 0
 
@@ -247,10 +246,7 @@ def _batch_entry(path: Path):
     entry = {"input": str(path)}
     violations = []
     try:
-        payload = _analyze_payload(str(path))
-        payload.pop("format", None)
-        payload.pop("input", None)
-        entry["report"] = payload
+        entry["report"] = _analyze_payload(str(path))
     except InvalidPolytope as err:
         entry["error"] = str(err)
     except InvariantViolation as err:

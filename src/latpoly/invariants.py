@@ -92,18 +92,15 @@ def is_spanned(p: HPolytope, a: int, b: int) -> bool:
 def nef_value(p: HPolytope):
     """Smallest ratio a/b such that the a-th dilate is b-spanned.
 
-    Closed form: over every vertex m (inward direction u) and every facet j
-    not through m, the shift stays inside iff a (<rho_j, m> + a_j) >=
-    b (1 - <rho_j, u>), so the threshold is the largest of the ratios
-    (1 - <rho_j, u>) / (<rho_j, m> + a_j) with positive numerator.
+    Closed form: over every vertex m (inward direction u) and every facet j,
+    the shift stays inside iff a (<rho_j, m> + a_j) >= b (1 - <rho_j, u>), so
+    the threshold is the largest of the ratios (1 - <rho_j, u>) / (<rho_j, m>
+    + a_j) with positive numerator; a facet through m has numerator 0.
     """
     _require_smooth(p)
     best = None
     for v in vertex_data(p):
-        inc = set(v.incident)
-        for j, (normal, offset) in enumerate(p.facets):
-            if j in inc:
-                continue
+        for normal, offset in p.facets:
             num = 1 - dot(normal, v.u)
             if num <= 0:
                 continue

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidPolytope
-from .ratlin import adjugate_times, dot, primitive, rank, vsub
+from .ratlin import adjugate_times, dot, identity, primitive, rank, vsub
 
 Point = tuple
 Facet = tuple  # (normal, offset)
@@ -92,7 +92,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int):
     description method revisited", 1996, Proposition 7).  Once a row has
     kept more than RAY_BUDGET rays, InvalidPolytope.
     """
-    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    lineality = list(identity(dim))
     rays = []
     for j, row in enumerate(rows):
         bit = 1 << j
@@ -379,11 +379,12 @@ def ensure_lattice(points: Sequence[Point]) -> None:
 
 
 def is_smooth(p: HPolytope):
-    """Whether every vertex has exactly n incident facets forming a lattice
-    basis; on failure returns the lexicographically first offending vertex."""
-    ensure_lattice([v.point for v in vertex_data(p)])
-    for v in vertex_data(p):
-        if len(v.incident) != p.dim or v.u is None:
+    """Whether every vertex has its u: n incident facets forming a lattice
+    basis.  On failure returns the lexicographically first vertex lacking it."""
+    data = vertex_data(p)
+    ensure_lattice([v.point for v in data])
+    for v in data:
+        if v.u is None:
             return False, v.point
     return True, None
 

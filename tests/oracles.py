@@ -1,7 +1,7 @@
 """Reference geometry the tests compare the package against, and that no
-runtime path of the package needs: unimodular images, lattice equivalence,
-the emptiness test, and the degree of the dual variety of a smooth
-polytope's toric variety."""
+runtime path of the package needs: unimodular images and random unimodular
+maps, lattice equivalence, the emptiness test, an exhaustive Cayley search,
+and the degree of the dual variety of a smooth polytope's toric variety."""
 
 import itertools
 import operator
@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from latpoly.cayley import width_candidates
 from latpoly.polytope import (
     HPolytope,
     VPolytope,
@@ -17,7 +18,18 @@ from latpoly.polytope import (
     facets,
     vertex_data,
 )
-from latpoly.ratlin import adjugate, det, dot, independent, mat_vec, primitive, rank, vsub
+from latpoly.ratlin import (
+    adjugate,
+    det,
+    dot,
+    identity,
+    independent,
+    mat_vec,
+    primitive,
+    rank,
+    smith_normal_form,
+    vsub,
+)
 
 
 def vadd(u, v):
@@ -38,6 +50,22 @@ def apply_unimodular(q: VPolytope, u, t) -> VPolytope:
     """Image of a vertex presentation under x -> U x + t."""
     pts = sorted(tuple(vadd(mat_vec(u, v), t)) for v in q.vertices)
     return VPolytope(q.dim, tuple(pts))
+
+
+def random_unimodular(rng, n, ops=6):
+    """A unimodular matrix from up to `ops` random row additions of the
+    identity, its rows reversed half of the time."""
+    m = [list(row) for row in identity(n)]
+    for _ in range(ops):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.choice((-2, -1, 1, 2))
+        for col in range(n):
+            m[i][col] += c * m[j][col]
+    if rng.random() < 0.5:
+        m.reverse()
+    return tuple(tuple(r) for r in m)
 
 
 @lru_cache(maxsize=None)
@@ -100,6 +128,43 @@ def lattice_equivalent(p: VPolytope, q: VPolytope):
             if image == target:
                 return u, t
     return None
+
+
+def exhaustive_best_k(p: VPolytope, s: int):
+    """Every subset of the oriented width-s functionals with two values.
+
+    Returns the largest k with a valid family of k functionals, and the
+    lexicographically smallest of that k's projections (rows sorted), or
+    (0, None) when there is none."""
+    verts = p.vertices
+    nv = len(verts)
+    oriented = []
+    for w, lo, width in width_candidates(p, s):
+        if width != s:
+            continue
+        vals = [dot(w, v) - lo for v in verts]
+        if any(h not in (0, s) for h in vals):
+            continue
+        oriented.append((w, frozenset(i for i, h in enumerate(vals) if h == s)))
+        oriented.append(
+            (tuple(-c for c in w), frozenset(i for i, h in enumerate(vals) if h == 0))
+        )
+    best = (0, None)
+    for r in range(1, len(oriented) + 1):
+        valid = []
+        for combo in itertools.combinations(oriented, r):
+            classes = [c for _, c in combo]
+            union = set().union(*classes)
+            if sum(len(c) for c in classes) != len(union):
+                continue
+            if len(union) >= nv:
+                continue
+            _, d, _ = smith_normal_form([w for w, _ in combo])
+            if all(d[i][i] == 1 for i in range(r)):
+                valid.append(tuple(sorted(w for w, _ in combo)))
+        if valid:
+            best = (r, min(valid))
+    return best
 
 
 def dual_degree(p: HPolytope, seed: int = 0) -> int:

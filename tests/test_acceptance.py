@@ -42,8 +42,14 @@ from latpoly.polytope import (
     vertex_data,
     vertices,
 )
-from latpoly.ratlin import dot, smith_normal_form
-from oracles import apply_unimodular, dual_degree, lattice_equivalent
+from latpoly.ratlin import dot
+from oracles import (
+    apply_unimodular,
+    dual_degree,
+    exhaustive_best_k,
+    lattice_equivalent,
+    random_unimodular,
+)
 
 
 def _report(name):
@@ -56,20 +62,6 @@ def unit_square():
 
 def rectangle(a, b):
     return VPolytope(2, ((0, 0), (0, b), (a, 0), (a, b)))
-
-
-def random_unimodular(rng, n, ops=6):
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(ops):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice((-2, -1, 1, 2))
-        for col in range(n):
-            m[i][col] += c * m[j][col]
-    if rng.random() < 0.5:
-        m.reverse()
-    return tuple(tuple(r) for r in m)
 
 
 def transformed(h, u, t):
@@ -252,34 +244,6 @@ def _interior_scan_codegree(p):
     return None
 
 
-def _exhaustive_best_k(p, s):
-    verts = p.vertices
-    nv = len(verts)
-    oriented = []
-    for w, lo, width in width_candidates(p, s):
-        if width != s:
-            continue
-        vals = [dot(w, v) - lo for v in verts]
-        if any(h not in (0, s) for h in vals):
-            continue
-        oriented.append((w, frozenset(i for i, h in enumerate(vals) if h == s)))
-        oriented.append(
-            (tuple(-c for c in w), frozenset(i for i, h in enumerate(vals) if h == 0))
-        )
-    best = 0
-    for r in range(1, len(oriented) + 1):
-        for combo in itertools.combinations(oriented, r):
-            classes = [cls for _, cls in combo]
-            union = set().union(*classes)
-            if sum(len(cls) for cls in classes) != len(union) or len(union) >= nv:
-                continue
-            _, d, _ = smith_normal_form([w for w, _ in combo])
-            if all(d[i][i] == 1 for i in range(r)):
-                best = max(best, r)
-                break
-    return best
-
-
 def test_oracle_equivalences():
     polys = [
         generate("simplex", 1, 3),
@@ -329,7 +293,7 @@ def test_oracle_equivalences():
     for q, s in detect_cases:
         assert len(width_candidates(q, s)) <= 8
         dec = detect(q, s)
-        assert (dec.k if dec is not None else 0) == _exhaustive_best_k(q, s)
+        assert (dec.k if dec is not None else 0) == exhaustive_best_k(q, s)[0]
     _report("oracle equivalences")
 
 

@@ -30,7 +30,7 @@ from latpoly.polytope import (
     vertices,
 )
 from latpoly.ratlin import dot, mat_vec, rank, smith_normal_form, solve_exact, vsub
-from oracles import apply_unimodular, lattice_equivalent
+from oracles import apply_unimodular, exhaustive_best_k, lattice_equivalent
 
 
 def test_build_order_two_cayley_of_segments():
@@ -255,6 +255,31 @@ def test_detect_counts_family_nodes_against_budget(monkeypatch):
         detect(prism, 1)
 
 
+def test_detect_budget_admits_dimension_15_only():
+    # Dimension 15 solves its 2^15 - 1 y and still has room for a family
+    # search of 15 nodes; dimension 16 is refused before any y is solved.
+    assert 2**15 - 1 + 15 <= DETECT_BUDGET < 2**16 - 1
+
+
+def test_detect_skips_family_that_is_not_surjective(monkeypatch):
+    # The two functionals (1, -1), (1, 1) split the three vertices into
+    # classes of one vertex each, but their Smith diagonal is (1, 2): Z^2
+    # maps onto an index-2 sublattice, so k = 2 is rejected and k = 1 wins.
+    p = VPolytope(2, ((0, 0), (1, -1), (1, 1)))
+    diagonals = []
+
+    def recording(matrix):
+        out = smith_normal_form(matrix)
+        diagonals.append((tuple(matrix), tuple(out[1][i][i] for i in range(len(matrix)))))
+        return out
+
+    monkeypatch.setattr(cayley, "smith_normal_form", recording)
+    dec = detect(p, 2)
+    assert diagonals[0] == (((1, -1), (1, 1)), (1, 2))
+    assert (dec.k, dec.projection, dec.translation) == (1, ((-1, -1),), (-2,))
+    assert (dec.k, dec.projection) == exhaustive_best_k(p, 2)
+
+
 def test_detect_projection_maps_vertices_to_height_pattern():
     p = vertices(generate("lawrence", 2, 3, 4))
     dec = detect(p, 1)
@@ -302,43 +327,6 @@ def _random_unimodular(rng, n, ops=6):
     return tuple(tuple(r) for r in m)
 
 
-def _exhaustive_best_k(p, s):
-    """Independent oracle: try every subset of oriented width functionals.
-
-    Returns the largest k with a valid family of k functionals, and the
-    lexicographically smallest of that k's projections (rows sorted), or
-    (0, None) when there is none."""
-    verts = p.vertices
-    nv = len(verts)
-    oriented = []
-    for w, lo, width in width_candidates(p, s):
-        if width != s:
-            continue
-        vals = [dot(w, v) - lo for v in verts]
-        if any(h not in (0, s) for h in vals):
-            continue
-        oriented.append((w, frozenset(i for i, h in enumerate(vals) if h == s)))
-        oriented.append(
-            (tuple(-c for c in w), frozenset(i for i, h in enumerate(vals) if h == 0))
-        )
-    best = (0, None)
-    for r in range(1, len(oriented) + 1):
-        valid = []
-        for combo in itertools.combinations(oriented, r):
-            classes = [c for _, c in combo]
-            union = set().union(*classes)
-            if sum(len(c) for c in classes) != len(union):
-                continue
-            if len(union) >= nv:
-                continue
-            _, d, _ = smith_normal_form([w for w, _ in combo])
-            if all(d[i][i] == 1 for i in range(r)):
-                valid.append(tuple(sorted(w for w, _ in combo)))
-        if valid:
-            best = (r, min(valid))
-    return best
-
-
 def test_detect_matches_exhaustive_enumeration():
     # The largest k, and ties go to the lexicographically smallest matrix.
     three = build([segment(1), segment(2), segment(1)], 1)
@@ -356,7 +344,7 @@ def test_detect_matches_exhaustive_enumeration():
         assert len(width_candidates(p, s)) <= 8
         dec = detect(p, s)
         got = (dec.k, dec.projection) if dec is not None else (0, None)
-        assert got == _exhaustive_best_k(p, s)
+        assert got == exhaustive_best_k(p, s)
 
 
 def test_detect_order_three_sum_of_seven_segments():

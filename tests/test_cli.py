@@ -183,6 +183,54 @@ def test_analyze_non_smooth(tmp_path, capsys):
     assert report["nef_value"] is None and report["cayley"] is None
 
 
+def test_analyze_non_smooth_text(tmp_path, capsys):
+    # The order-2 Cayley sum of segments 6, 5, 3 is not smooth: the text
+    # report names the witness and stops before the smooth-only lines.
+    target = tmp_path / "sum.json"
+    save_polytope(target, vrep=build([segment(6), segment(5), segment(3)], 2))
+    assert main(["analyze", str(target)]) == 0
+    assert capsys.readouterr().out == (
+        f"input:                 {target}\n"
+        "dim:                   3\n"
+        "vertices:              6\n"
+        "lattice points:        33\n"
+        "smooth:                False\n"
+        "non-smooth vertex:     (3, 0, 2)\n"
+        "codegree:              2\n"
+        "degree:                2\n"
+        "q-codegree:            3/2\n"
+    )
+
+
+def test_report_integers_over_2_53_are_strings(tmp_path, capsys):
+    big = 2**60
+    indir = tmp_path / "in"
+    indir.mkdir()
+    segment_file = indir / "segment.json"
+    save_polytope(segment_file, vrep=VPolytope(1, ((0,), (big,))))
+    moved = build([segment(6), segment(5), segment(3)], 2)
+    moved = VPolytope(3, tuple((x + big, y, z) for x, y, z in moved.vertices))
+    sum_file = indir / "sum.json"
+    save_polytope(sum_file, vrep=moved)
+
+    assert main(["analyze", str(segment_file), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lattice_point_count"] == str(big + 1)
+    assert main(["analyze", str(sum_file), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["smooth_witness"] == [str(big + 3), 0, 2]
+    out = tmp_path / "report.json"
+    assert main(["batch", str(indir), "--out", str(out)]) == 0
+    reports = [entry["report"] for entry in json.loads(out.read_text())["reports"]]
+    assert reports[0]["lattice_point_count"] == str(big + 1)  # segment.json sorts first
+    assert reports[1]["smooth_witness"] == [str(big + 3), 0, 2]
+    capsys.readouterr()
+
+    # The text report prints the same digits, without quotes.
+    assert main(["analyze", str(segment_file)]) == 0
+    assert f"lattice points:        {big + 1}\n" in capsys.readouterr().out
+    assert main(["analyze", str(sum_file)]) == 0
+    assert f"non-smooth vertex:     ({big + 3}, 0, 2)\n" in capsys.readouterr().out
+
+
 def test_analyze_rational_vertex_exit_2(tmp_path, capsys):
     target = tmp_path / "bad.json"
     target.write_text(

@@ -30,47 +30,21 @@ from latpoly.polytope import (
     vertices,
 )
 from latpoly.ratlin import UNIQUE, det, dot, primitive, solve_exact, vsub
-from oracles import apply_unimodular, is_empty, lattice_equivalent
+from oracles import apply_unimodular, is_empty, lattice_equivalent, random_unimodular
 
 # Small builders used across the suite.
 
 
 def simplex(d, n):
-    normals = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]
-    offsets = [0] * n + [d]
-    return canonicalize(hpolytope(normals, offsets))
+    return generate("simplex", d, n)
 
 
 def blowup(d, lam, n):
-    normals = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n, [1] * n]
-    offsets = [0] * n + [d, -lam]
-    return canonicalize(hpolytope(normals, offsets))
+    return generate("blowup", d, lam, n)
 
 
 def cube(n):
-    normals = []
-    offsets = []
-    for i in range(n):
-        e = [int(i == j) for j in range(n)]
-        normals.append(e)
-        offsets.append(0)
-        normals.append([-c for c in e])
-        offsets.append(1)
-    return canonicalize(hpolytope(normals, offsets))
-
-
-def random_unimodular(rng, n, ops=6):
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(ops):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice((-2, -1, 1, 2))
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    if rng.random() < 0.5:
-        m.reverse()
-    return tuple(tuple(r) for r in m)
+    return generate("cube", n)
 
 
 def test_vertices_of_triangle():
