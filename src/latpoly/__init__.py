@@ -23,11 +23,8 @@ from .invariants import (
     codegree,
     degree,
     is_q_normal,
-    is_spanned,
     nef_value,
     qcodegree,
-    spanned_at_vertex,
-    vertex_shift,
 )
 from .polytope import (
     HPolytope,
@@ -69,7 +66,6 @@ __all__ = [
     "hpolytope",
     "is_q_normal",
     "is_smooth",
-    "is_spanned",
     "lattice_point",
     "lattice_point_count",
     "lattice_points",
@@ -79,9 +75,7 @@ __all__ = [
     "reduce_vertices",
     "segment",
     "shrink",
-    "spanned_at_vertex",
     "vertex_data",
-    "vertex_shift",
     "vertices",
     "width_candidates",
 ]

@@ -23,6 +23,7 @@ from .polytope import (
     is_smooth,
     normal_fan_equal,
     reduce_vertices,
+    vertices,
 )
 from .ratlin import adjugate, dot, identity, independent, mat_vec, rank, smith_normal_form, vsub
 
@@ -180,6 +181,58 @@ def width_candidates(p: VPolytope, s: int):
 DETECT_BUDGET = 2**15 + 2**10
 
 
+def _charge(taken: int) -> None:
+    if taken > DETECT_BUDGET:
+        raise InvalidPolytope(f"Cayley detection passed {taken} steps, budget {DETECT_BUDGET}")
+
+
+def _class_mask(verts, w, lo, s):
+    """Mask of the vertices at lo + s; None, ending the scan, at a third height."""
+    mask = 0
+    for i, v in enumerate(verts):
+        h = dot(w, v) - lo
+        if h == s:
+            mask |= 1 << i
+        elif h:
+            return None
+    return mask
+
+
+def _structures(verts, oriented, k, s, steps):
+    """Order-s decompositions, in lexicographic order, by k rows of the sorted
+    (functional, minimum, class mask) candidates `oriented` over `verts`
+    whose classes are disjoint, leave some vertex at the minimum, and whose
+    rows span a surjection onto Z^k (Smith form all ones).  Each node of the
+    family search charges the next count of `steps` against DETECT_BUDGET."""
+    n = len(verts[0])
+    full = (1 << len(verts)) - 1
+
+    def families(start, k, used):  # index tuples into oriented[start:]
+        _charge(next(steps))
+        if k == 0:
+            yield ()
+            return
+        for idx in range(start, len(oriented) - k + 1):
+            cls = oriented[idx][2]
+            if not cls & used and cls | used != full:
+                for rest in families(idx + 1, k - 1, used | cls):
+                    yield (idx, *rest)
+
+    for family in families(0, k, 0):
+        proj = tuple(oriented[i][0] for i in family)
+        _, d, v = smith_normal_form(proj)
+        if any(d[i][i] != 1 for i in range(k)):
+            continue
+        translation = tuple(oriented[i][1] for i in family)
+        masks = [oriented[i][2] for i in family]
+        summands = []
+        for mask in (full ^ sum(masks), *masks):  # disjoint: the sum is the union
+            pts = {tuple(mat_vec(v, x)[k:]) for i, x in enumerate(verts) if mask >> i & 1}
+            summands.append(VPolytope(n - k, tuple(sorted(pts))))
+        strict = all(same_normal_fan(summands[0], q) for q in summands[1:])
+        yield CayleyDecomposition(k, s, proj, translation, tuple(summands), strict)
+
+
 def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     """Search for a Cayley structure of order s on a full-dimensional
     lattice polytope, maximizing the number of heights k.
@@ -209,62 +262,40 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
         raise InvalidPolytope("detection needs a full-dimensional polytope")
     if not isinstance(s, int) or s < 1:
         raise ValueError("width bound must be a positive integer")
-    steps = 0
-
-    def spend(count):
-        nonlocal steps
-        steps += count
-        if steps > DETECT_BUDGET:
-            raise InvalidPolytope(f"Cayley detection passed {steps} steps, budget {DETECT_BUDGET}")
-
-    spend(2**n - 1)
+    _charge(2**n - 1)
+    steps = itertools.count(2**n)
     verts = p.vertices
-    nv = len(verts)
-    full = (1 << nv) - 1
+    full = (1 << len(verts)) - 1
     oriented = []
     for w in _functionals(verts, itertools.product((0, s), repeat=n)):
         lo = dot(w, verts[0])
-        mask = 0
-        for i, v in enumerate(verts):
-            h = dot(w, v) - lo
-            if h == s:
-                mask |= 1 << i
-            elif h:
-                break
-        else:
+        mask = _class_mask(verts, w, lo, s)
+        if mask is not None:
             oriented.append((w, lo, mask))
             oriented.append((tuple(-c for c in w), -(lo + s), full ^ mask))
     oriented.sort()  # by w alone, since no two candidates share one
+    atoms = len({tuple(m >> i & 1 for _, _, m in oriented) for i in range(len(verts))})
+    ks = range(min(n, atoms - 1), 0, -1)  # the first structure at the largest k
+    return next((dec for k in ks for dec in _structures(verts, oriented, k, s, steps)), None)
 
-    def families(start, k, used):
-        """Index tuples of k more disjoint classes from oriented[start:] that
-        leave some vertex outside `used`, in lexicographic order."""
-        spend(1)
-        if k == 0:
-            yield ()
-            return
-        for idx in range(start, len(oriented) - k + 1):
-            cls = oriented[idx][2]
-            if not cls & used and cls | used != full:
-                for rest in families(idx + 1, k - 1, used | cls):
-                    yield (idx, *rest)
 
-    atoms = len({tuple(m >> i & 1 for _, _, m in oriented) for i in range(nv)})
-    for k in range(min(n, atoms - 1), 0, -1):
-        for family in families(0, k, 0):
-            proj = tuple(oriented[i][0] for i in family)
-            _, d, v = smith_normal_form(proj)
-            if any(d[i][i] != 1 for i in range(k)):
-                continue
-            translation = tuple(oriented[i][1] for i in family)
-            masks = [oriented[i][2] for i in family]
-            summands = []
-            for mask in (full ^ sum(masks), *masks):  # disjoint: the sum is the union
-                pts = {tuple(mat_vec(v, x)[k:]) for i, x in enumerate(verts) if mask >> i & 1}
-                summands.append(VPolytope(n - k, tuple(sorted(pts))))
-            strict = all(same_normal_fan(summands[0], q) for q in summands[1:])
-            return CayleyDecomposition(k, s, proj, translation, tuple(summands), strict)
-    return None
+def _facet_structure(h: HPolytope, k: int) -> CayleyDecomposition | None:
+    """The first strict order-1 Cayley structure with k rows, all facet
+    normals of h, in `detect`'s order; None if there is none.
+
+    A candidate is a facet (a, b) with <a, v> + b in {0, 1} at every vertex:
+    row a, minimum -b, class the vertices at 1.  Every strict structure is
+    found.  Write it Cay(P_0, ..., P_k); the P_i share one fan, so each has
+    dimension n - k.  Row i is minimized on the Cayley polytope of the other
+    k summands, of dimension (k - 1) + (n - k) = n - 1: a facet, with inner
+    normal row i, on which the row takes 0 and elsewhere 1.  Family nodes
+    charge DETECT_BUDGET from 0; no y is solved.
+    """
+    verts = vertices(h).vertices
+    candidates = ((a, -b, _class_mask(verts, a, -b, 1)) for a, b in h.facets)
+    oriented = sorted(c for c in candidates if c[2] is not None)
+    structures = _structures(verts, oriented, k, 1, itertools.count(1))
+    return next((dec for dec in structures if dec.strict), None)
 
 
 def check_localsplit(summands, s: int) -> LocalsplitReport:

@@ -292,10 +292,7 @@ def main(argv=None) -> int:
     except InvariantViolation as err:
         print(f"internal invariant violation: {err}", file=sys.stderr)
         return 3
-    except OSError as err:
-        print(f"invalid polytope: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (OSError, ValueError) as err:  # load_polytope wraps read failures: an OSError is a write
         print(f"error: {err}", file=sys.stderr)
         return 1
 

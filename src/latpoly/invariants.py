@@ -1,4 +1,4 @@
-"""Codegree, degree, rational codegree, spannedness, nef value, and the
+"""Codegree, degree, rational codegree, nef value, and the
 high-codegree classification of smooth lattice polytopes.
 
 All functions take a canonical bounded full-dimensional facet presentation
@@ -13,15 +13,12 @@ from typing import NamedTuple
 from .errors import InvalidPolytope, InvariantViolation, TheoremViolation
 from .polytope import (
     HPolytope,
-    VertexData,
     _cone_over,
     _lattice_fibres,
     _q,
-    contains,
     is_smooth,
     shrink,
     vertex_data,
-    vertices,
 )
 from .ratlin import dot
 
@@ -69,26 +66,6 @@ def _require_smooth(p: HPolytope) -> None:
         raise InvalidPolytope(f"polytope is not smooth at vertex {witness}")
 
 
-def vertex_shift(v: VertexData, a: int, b: int) -> tuple:
-    """The point a*m + b*u at a smooth vertex m with inward direction u."""
-    if v.u is None:
-        raise InvalidPolytope(f"vertex {v.point} is not smooth")
-    return tuple(a * m + b * u for m, u in zip(v.point, v.u))
-
-
-def spanned_at_vertex(p: HPolytope, v: VertexData, a: int, b: int) -> bool:
-    """Whether the inward shift of the vertex of the a-th dilate by b lands
-    inside shrink(p, a, b)."""
-    if not isinstance(a, int) or a < 1 or not isinstance(b, int) or b < 1:
-        raise ValueError("dilation and shift must be positive integers")
-    return contains(shrink(p, a, b), vertex_shift(v, a, b))
-
-
-def is_spanned(p: HPolytope, a: int, b: int) -> bool:
-    _require_smooth(p)
-    return all(spanned_at_vertex(p, v, a, b) for v in vertex_data(p))
-
-
 def nef_value(p: HPolytope):
     """Smallest ratio a/b such that the a-th dilate is b-spanned.
 
@@ -133,10 +110,12 @@ class InvariantReport(NamedTuple):
 def classify(p: HPolytope) -> InvariantReport:
     """Full invariant report for a smooth polytope.
 
-    When the polytope is q-normal with codegree at least (n+3)/2, a strict
-    Cayley decomposition with k + 1 = codegree and k > n/2 must exist; its
-    absence is a hard error, never a silent miss.  The predicted dual defect
-    2*codegree - 2 - n is reported exactly in that case.
+    When the polytope is q-normal with codegree c at least (n+3)/2, a strict
+    Cayley decomposition with k + 1 = c must exist, and then k > n/2; its
+    absence is a hard error, never a silent miss.  Every strict structure
+    has facet normals for rows (see cayley._facet_structure), so the search
+    over those finds one exactly when one exists.  The predicted dual
+    defect 2*codegree - 2 - n is reported exactly in that case.
     """
     _require_smooth(p)
     n = p.dim
@@ -153,18 +132,13 @@ def classify(p: HPolytope) -> InvariantReport:
     decomposition = None
     defect = None
     if applies:
-        from .cayley import detect
+        from .cayley import _facet_structure
 
-        decomposition = detect(vertices(p), 1)
-        if (
-            decomposition is None
-            or not decomposition.strict
-            or decomposition.k + 1 != c
-            or 2 * decomposition.k <= n
-        ):
+        decomposition = _facet_structure(p, c - 1)
+        if decomposition is None:
             raise TheoremViolation(
                 f"q-normal polytope with codegree {c} in dimension {n} lacks the"
-                f" forced strict Cayley structure (found {decomposition})"
+                " forced strict Cayley structure"
             )
         defect = 2 * c - 2 - n
     return InvariantReport(n, c, d, qc, tau, q_normal, applies, decomposition, defect)

@@ -1,7 +1,8 @@
 """Reference geometry the tests compare the package against, and that no
 runtime path of the package needs: unimodular images and random unimodular
 maps, lattice equivalence, the emptiness test, an exhaustive Cayley search,
-and the degree of the dual variety of a smooth polytope's toric variety."""
+spannedness by definition, and the degree of the dual variety of a smooth
+polytope's toric variety."""
 
 import itertools
 import operator
@@ -10,12 +11,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from latpoly.cayley import width_candidates
+from latpoly.errors import InvalidPolytope
 from latpoly.polytope import (
     HPolytope,
+    VertexData,
     VPolytope,
     _cone_over,
+    contains,
     ensure_lattice,
     facets,
+    is_smooth,
+    shrink,
     vertex_data,
 )
 from latpoly.ratlin import (
@@ -165,6 +171,30 @@ def exhaustive_best_k(p: VPolytope, s: int):
         if valid:
             best = (r, min(valid))
     return best
+
+
+def vertex_shift(v: VertexData, a: int, b: int) -> tuple:
+    """The point a*m + b*u at a smooth vertex m with inward direction u."""
+    if v.u is None:
+        raise InvalidPolytope(f"vertex {v.point} is not smooth")
+    return tuple(a * m + b * u for m, u in zip(v.point, v.u))
+
+
+def spanned_at_vertex(p: HPolytope, v: VertexData, a: int, b: int) -> bool:
+    """Whether the inward shift of the vertex of the a-th dilate by b lands
+    inside shrink(p, a, b)."""
+    if not isinstance(a, int) or a < 1 or not isinstance(b, int) or b < 1:
+        raise ValueError("dilation and shift must be positive integers")
+    return contains(shrink(p, a, b), vertex_shift(v, a, b))
+
+
+def is_spanned(p: HPolytope, a: int, b: int) -> bool:
+    """Whether the a-th dilate of the smooth p is b-spanned, vertex by
+    vertex: the definition that nef_value's closed form is checked against."""
+    smooth, witness = is_smooth(p)
+    if not smooth:
+        raise InvalidPolytope(f"polytope is not smooth at vertex {witness}")
+    return all(spanned_at_vertex(p, v, a, b) for v in vertex_data(p))
 
 
 def dual_degree(p: HPolytope, seed: int = 0) -> int:

@@ -27,11 +27,8 @@ from latpoly.invariants import (
     codegree,
     degree,
     is_q_normal,
-    is_spanned,
     nef_value,
     qcodegree,
-    spanned_at_vertex,
-    vertex_shift,
 )
 from latpoly.polytope import (
     VPolytope,
@@ -47,8 +44,11 @@ from oracles import (
     apply_unimodular,
     dual_degree,
     exhaustive_best_k,
+    is_spanned,
     lattice_equivalent,
     random_unimodular,
+    spanned_at_vertex,
+    vertex_shift,
 )
 
 
@@ -172,11 +172,14 @@ def test_cayley_classification_both_directions(strict_builds, corpus_reports):
     assert checked_forward >= 100
 
     # Conversely classify() hard-fails unless a qualifying strict
-    # decomposition exists whenever q-normality and big codegree hold.
+    # decomposition exists whenever q-normality and big codegree hold.  It
+    # searches only the facet normals and finds what the exhaustive detect
+    # finds.
     applied = 0
     for name, h, report in corpus_reports:
         if report.classification_applies:
             dec = report.cayley
+            assert repr(dec) == repr(detect(vertices(h), 1)), name
             assert dec is not None and dec.strict, name
             assert dec.k + 1 == report.codegree, name
             assert 2 * dec.k > report.dim, name

@@ -484,6 +484,21 @@ def test_batch_simplices(tmp_path, capsys):
         assert Fraction(rep["nef_value"]) == rep["dim"] + 1
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # Reads fail inside load_polytope as invalid polytopes (exit 2); a write
+    # to a missing directory is a bad parameter (exit 1).
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_gen(indir, "simplex2.json", "simplex", 1, 2)
+    missing = tmp_path / "missing"
+    capsys.readouterr()
+    assert main(["batch", str(indir), "--out", str(missing / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+    assert main(["gen", "simplex", "1", "2", "-o", str(missing / "s.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+    assert not missing.exists()
+
+
 def test_batch_mixed_q_normality(tmp_path):
     indir = tmp_path / "in"
     indir.mkdir()

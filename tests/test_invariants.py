@@ -5,18 +5,16 @@ from fractions import Fraction
 
 from test_polytope import _random_presentation
 
-from latpoly.cayley import build, generate, segment
-from latpoly.errors import InvalidPolytope
+from latpoly import cayley
+from latpoly.cayley import build, detect, generate, segment
+from latpoly.errors import InvalidPolytope, TheoremViolation
 from latpoly.invariants import (
     classify,
     codegree,
     degree,
     is_q_normal,
-    is_spanned,
     nef_value,
     qcodegree,
-    spanned_at_vertex,
-    vertex_shift,
 )
 from latpoly.polytope import (
     HPolytope,
@@ -27,6 +25,14 @@ from latpoly.polytope import (
     lattice_points,
     shrink,
     vertex_data,
+    vertices,
+)
+from oracles import (
+    apply_unimodular,
+    is_spanned,
+    random_unimodular,
+    spanned_at_vertex,
+    vertex_shift,
 )
 
 
@@ -169,15 +175,67 @@ def test_classify_triple_segment_prism():
 ])
 def test_classify_strict_lawrence_prisms_high_codegree(lengths):
     # The theorem's regime: dimension n = m, codegree m and k = m - 1 for m
-    # segments.  Nine segments give 510 oriented candidates, whose disjoint
-    # families detect would exhaust at k = 9 without its atom bound.
-    report = classify(generate("lawrence", lengths))
+    # segments.  classify searches the facet normals for k = m - 1 only.
+    # detect gets there by its atom bound: nine segments give it 510
+    # oriented candidates, whose disjoint families it would exhaust at
+    # k = 9 without that bound.
+    p = generate("lawrence", lengths)
+    report = classify(p)
     n = len(lengths)
     c = report.codegree
     assert report.classification_applies is True
     assert report.cayley.k + 1 == c == n
     assert report.cayley.strict is True
     assert report.predicted_defect == 2 * c - 2 - n
+    assert detect(vertices(p), 1) == report.cayley
+
+
+def _sheared_prism(m):
+    """The Lawrence prism of m segments (1, 2, 1, 2, ...) after four seeded
+    row additions."""
+    prism = build([segment(1 + i % 2) for i in range(m)], 1)
+    return facets(apply_unimodular(prism, random_unimodular(random.Random(m), m, 4), (0,) * m))
+
+
+@pytest.mark.parametrize("m", [12, 16, 20])
+def test_classify_sheared_prisms_past_detect(m):
+    # detect passes its budget on all three: at 12 segments in the family
+    # search over about 2^12 candidates, from 16 on before any y is solved.
+    report = classify(_sheared_prism(m))
+    assert report.classification_applies is True
+    assert report.codegree == m
+    assert report.cayley.k == m - 1 and report.cayley.strict is True
+
+
+def test_classify_matches_detect_on_sheared_prisms():
+    for m in range(3, 11):
+        h = _sheared_prism(m)
+        assert repr(classify(h).cayley) == repr(detect(vertices(h), 1)), m
+
+
+def test_classify_does_not_call_detect(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify called detect")
+
+    monkeypatch.setattr(cayley, "detect", refuse)
+    report = classify(generate("lawrence", 1, 1, 1))
+    assert report.cayley.k == 2 and report.cayley.strict is True
+
+
+def test_classify_charges_family_nodes_against_budget(monkeypatch):
+    # Three nodes reach the first family of two rows; no 2^n is charged.
+    p = generate("lawrence", 1, 2, 1)
+    monkeypatch.setattr(cayley, "DETECT_BUDGET", 3)
+    assert classify(p).cayley.k == 2
+    monkeypatch.setattr(cayley, "DETECT_BUDGET", 2)
+    with pytest.raises(InvalidPolytope, match="^Cayley detection passed 3 steps, budget 2$"):
+        classify(p)
+
+
+def test_classify_without_strict_structure_raises(monkeypatch):
+    monkeypatch.setattr(cayley, "same_normal_fan", lambda a, b: False)
+    with pytest.raises(TheoremViolation, match="codegree 3 in dimension 3 lacks the forced"):
+        classify(generate("lawrence", 1, 1, 1))
 
 
 def test_classify_dilated_simplex_no_claim():
