@@ -14,6 +14,7 @@ from .invariants import nef_value, qcodegree
 from .polytope import (
     HPolytope,
     VPolytope,
+    _normal_cones,
     _q,
     affine_dim,
     canonicalize,
@@ -21,7 +22,6 @@ from .polytope import (
     facets,
     hpolytope,
     is_smooth,
-    normal_fan_equal,
     reduce_vertices,
     vertices,
 )
@@ -102,7 +102,8 @@ def same_normal_fan(a: VPolytope, b: VPolytope) -> bool:
     isomorphism maps normal cones onto normal cones, so applying one map to
     both polytopes keeps the verdict: both are projected onto da coordinates
     that are independent on that space, which is injective on their affine
-    hulls, and the full-dimensional fans of the images are compared.
+    hulls, and the full-dimensional fans of the images are compared, each
+    read off the one double description that facets would run.
     """
     if a.dim != b.dim or not a.vertices or not b.vertices:
         return False
@@ -118,7 +119,7 @@ def same_normal_fan(a: VPolytope, b: VPolytope) -> bool:
         VPolytope(da, tuple(sorted({tuple(v[c] for c in cols) for v in q.vertices})))
         for q in (a, b)
     ]
-    return normal_fan_equal(facets(projected[0]), facets(projected[1]))
+    return _normal_cones(projected[0]) == _normal_cones(projected[1])
 
 
 def build_strict(summands, s: int) -> VPolytope:

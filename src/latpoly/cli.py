@@ -119,10 +119,11 @@ def _analyze_payload(path: str) -> dict:
             }
         payload["predicted_defect"] = report.predicted_defect
     else:
-        c = codegree(h)
+        qc = qcodegree(h)
+        c = codegree(h, qc=qc)
         payload["codegree"] = c
         payload["degree"] = h.dim + 1 - c
-        payload["qcodegree"] = encode_rational(qcodegree(h))
+        payload["qcodegree"] = encode_rational(qc)
     return payload
 
 
@@ -262,6 +263,9 @@ def _cmd_batch(args) -> int:
     paths = sorted(directory.glob("*.json"))
     if args.threads < 1:
         raise _UsageError("--threads must be positive")
+    # An output that cannot be opened fails here, before any analysis;
+    # append mode creates the file or keeps its contents until the write.
+    open(args.out, "a").close()
     # The work is pure Python and holds the interpreter lock, so every
     # --threads N analyzes the files one by one in the calling thread.
     results = list(map(_batch_entry, paths))

@@ -7,6 +7,7 @@ All functions take a canonical bounded full-dimensional facet presentation
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -23,16 +24,22 @@ from .polytope import (
 from .ratlin import dot
 
 
-def codegree(p: HPolytope) -> int:
+def codegree(p: HPolytope, *, qc=None) -> int:
     """Smallest k such that the k-th dilate has an interior lattice point.
 
     p is validated once, by vertex_data (cached for every caller): it must be
     nonempty and bounded.  A shrink keeps the normals, so it is bounded too;
     the walk over each shrink checks that again on its own double
     description, and for each k stops at its first nonempty fibre.
+
+    The walk tests shrink(p, k, 1) from k = ceil(qc) on, qc the rational
+    codegree (computed here unless the caller passes it): by the definition
+    of qc, that shrink has no real point at all when k < qc.
     """
     vertex_data(p)
-    for k in range(1, p.dim + 2):
+    if qc is None:
+        qc = qcodegree(p)
+    for k in range(math.ceil(qc), p.dim + 2):
         if next(_lattice_fibres(shrink(p, k, 1)), None) is not None:
             return k
     raise InvariantViolation(f"no interior lattice point up to dilation {p.dim + 1}")
@@ -119,9 +126,9 @@ def classify(p: HPolytope) -> InvariantReport:
     """
     _require_smooth(p)
     n = p.dim
-    c = codegree(p)
-    d = n + 1 - c
     qc = qcodegree(p)
+    c = codegree(p, qc=qc)
+    d = n + 1 - c
     tau = nef_value(p)
     if not (qc <= c <= n + 1):
         raise InvariantViolation(f"codegree bounds violated: {qc} vs {c} vs {n + 1}")

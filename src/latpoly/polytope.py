@@ -74,7 +74,7 @@ def _join(a, x: Sequence[int], b, y: Sequence[int]) -> tuple[int, ...]:
 
 
 # Rays _extreme_rays may keep: the vertices of the unit 11-cube, which takes
-# about a second to canonicalize.
+# about half a second of CPU to canonicalize (Python 3.11).
 RAY_BUDGET = 2**11
 
 
@@ -143,14 +143,23 @@ def _point(y: tuple[int, ...]) -> Point:
     return y[:-1] if t == 1 else tuple(_q(Fraction(c, t)) for c in y[:-1])
 
 
-def _cone_points(p: HPolytope) -> list[tuple[Point, int]]:
+# Entries each cache of this module keeps (_cone_points, vertex_data,
+# _hull, facets).  Their repeat calls fall within one file or one Cayley
+# family, so a long batch or library session needs only the recent ones.
+CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _cone_points(p: HPolytope) -> tuple[tuple[Point, int], ...]:
     """The points (x, zero mask) of the rays with t > 0 of the cone over p,
     none when p is empty.  InvalidPolytope when p is nonempty and unbounded:
-    the cone then has lineality or a ray with t = 0 as well."""
+    the cone then has lineality or a ray with t = 0 as well.  Cached, so
+    vertex_data and the lattice walk over one p share one double
+    description."""
     if p.dim < 1:
         raise InvalidPolytope("ambient dimension must be at least 1")
     rays, lineality = _cone_over(p.facets, p.dim)
-    found = [(_point(y), zero) for y, zero in rays if y[-1]]
+    found = tuple((_point(y), zero) for y, zero in rays if y[-1])
     if found and (lineality or len(found) < len(rays)):
         raise InvalidPolytope("polytope is unbounded")
     return found
@@ -205,12 +214,6 @@ def canonicalize(p: HPolytope) -> HPolytope:
     return HPolytope(p.dim, kept)
 
 
-# Entries each of the vertex_data and facets caches keeps.  Their repeat
-# calls fall within one file or one Cayley family, so a long batch or
-# library session needs only the recent ones.
-CACHE_SIZE = 128
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def vertex_data(p: HPolytope) -> tuple[VertexData, ...]:
     """All vertices with their incident facet sets, sorted by point.
@@ -248,13 +251,13 @@ def affine_dim(points: Sequence[Point]) -> int:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def facets(q: VPolytope) -> HPolytope:
-    """Exact convex hull of a full-dimensional vertex presentation.
+def _hull(q: VPolytope) -> tuple[HPolytope, tuple[int, ...]]:
+    """The canonical facets of a full-dimensional vertex presentation, with
+    the bit mask of the points of q on each (bit j: q.vertices[j]).
 
     The facets are the extreme rays (a, b) of the cone of valid inequalities
     {(a, b) : <a, v> + b >= 0 for every vertex v}, whose lineality space is
-    the equations of the affine hull.  The output is canonical (primitive
-    inward normals, irredundant, sorted).
+    the equations of the affine hull.
     """
     n = q.dim
     if n < 1:
@@ -263,10 +266,46 @@ def facets(q: VPolytope) -> HPolytope:
     if lineality:
         raise InvalidPolytope(f"affine hull has dimension {n - len(lineality)}, expected {n}")
     found = []
-    for y, _ in rays:
+    for y, zero in rays:
         g = math.gcd(*y[:-1])
-        found.append((tuple(c // g for c in y[:-1]), _q(Fraction(y[-1], g))))
-    return HPolytope(n, tuple(sorted(found)))
+        found.append(((tuple(c // g for c in y[:-1]), _q(Fraction(y[-1], g))), zero))
+    found.sort()  # by facet alone, since no two rays give one
+    return HPolytope(n, tuple(f for f, _ in found)), tuple(zero for _, zero in found)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def facets(q: VPolytope) -> HPolytope:
+    """Exact convex hull of a full-dimensional vertex presentation.  The
+    output is canonical (primitive inward normals, irredundant, sorted)."""
+    return _hull(q)[0]
+
+
+def _extreme(zeros: Sequence[int], count: int) -> list[int]:
+    """Indices of the extreme points among `count` distinct points, given the
+    zero masks of the facets of their hull (within its affine hull).  A
+    point is extreme exactly when no other point lies on every facet
+    through it, since points of the set span the smallest face holding it."""
+    out = []
+    for i in range(count):
+        meet = -1
+        for zero in zeros:
+            if zero >> i & 1:
+                meet &= zero
+        if meet == 1 << i:
+            out.append(i)
+    return out
+
+
+def _normal_cones(q: VPolytope) -> frozenset:
+    """The maximal normal cones of a full-dimensional presentation of
+    distinct points, as _max_cones(facets(q)) gives them, read off the
+    masks of _hull(q): each vertex's cone is the set of normals of the
+    facets through it, listed in the sorted order of the facets."""
+    h, zeros = _hull(q)
+    return frozenset(
+        tuple(normal for (normal, _), zero in zip(h.facets, zeros) if zero >> i & 1)
+        for i in _extreme(zeros, len(q.vertices))
+    )
 
 
 def _lattice_fibres(p: HPolytope, budget: int | None = None):
@@ -274,8 +313,8 @@ def _lattice_fibres(p: HPolytope, budget: int | None = None):
     r the nonempty range of the v with prefix + (v,) a lattice point.
 
     p is checked here, by _cone_points, whose double description of the
-    cone over p also gives the box: an empty p yields nothing, an unbounded
-    one raises InvalidPolytope.
+    cone over p (the one vertex_data reads, cached) also gives the box: an
+    empty p yields nothing, an unbounded one raises InvalidPolytope.
 
     A depth-first walk fixes x_1, ..., x_{n-1}.  A half space <a, x> >= -b
     bounds x_k by a_k x_k >= -b - (sum of a_j x_j over the fixed j < k) - S_k,
@@ -412,9 +451,8 @@ def reduce_vertices(points: Sequence[Point], dim: int) -> VPolytope:
     """Deduplicate and keep only extreme points of the given set.
 
     The rays of the cone over the points are the facets of their hull within
-    its affine hull (whose equations are the lineality).  A point is extreme
-    exactly when no other point lies on every facet through it, since points
-    of the set span the smallest face holding it.
+    its affine hull (whose equations are the lineality); _extreme reads the
+    extreme points off their zero masks.
     """
     uniq = sorted({tuple(_q(c) for c in pt) for pt in points})
     if any(len(pt) != dim for pt in uniq):
@@ -422,12 +460,4 @@ def reduce_vertices(points: Sequence[Point], dim: int) -> VPolytope:
     if len(uniq) <= 1:
         return VPolytope(dim, tuple(uniq))
     zeros = [zero for _, zero in _extreme_rays(_lifted(uniq), dim + 1)[0]]
-    keep = []
-    for i, pt in enumerate(uniq):
-        meet = -1
-        for zero in zeros:
-            if zero >> i & 1:
-                meet &= zero
-        if meet == 1 << i:
-            keep.append(pt)
-    return VPolytope(dim, tuple(keep))
+    return VPolytope(dim, tuple(uniq[i] for i in _extreme(zeros, len(uniq))))

@@ -72,7 +72,9 @@ def adjugate_times(rows: Sequence[Sequence[int]], block: Sequence[Sequence[int]]
     """(det A, adj(A) B) for a square integer matrix A, adj A = det A * A^-1,
     and an integer block B of as many rows, by fraction-free Gauss-Jordan
     elimination on [A | B] with row swaps (Bareiss, Math. Comp. 22, 1968): every
-    update divides exactly by the previous pivot.  None for adj(A) B if det A = 0."""
+    update divides exactly by the previous pivot; a row with a zero in the pivot
+    column under a pivot equal to the previous one is left alone, since its
+    update (prev * x) // prev is the identity.  None for adj(A) B if det A = 0."""
     n = len(rows)
     if any(len(r) != n for r in rows) or len(block) != n:
         raise ValueError("adjugate needs a square matrix and a block of as many rows")
@@ -87,11 +89,12 @@ def adjugate_times(rows: Sequence[Sequence[int]], block: Sequence[Sequence[int]]
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
         top = m[k]
+        pivot = top[k]
         for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(top[k] * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev = top[k]
+            f = m[i][k]
+            if i != k and (f or pivot != prev):
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = pivot
     # With P the row swaps, [A | B] is now [det(PA) I | det(PA) A^-1 B].
     return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
 

@@ -1,8 +1,9 @@
 """Reference geometry the tests compare the package against, and that no
 runtime path of the package needs: unimodular images and random unimodular
 maps, lattice equivalence, the emptiness test, an exhaustive Cayley search,
-spannedness by definition, and the degree of the dual variety of a smooth
-polytope's toric variety."""
+spannedness by definition, the degree of the dual variety of a smooth
+polytope's toric variety, and a certificate for each report in the
+classification's regime."""
 
 import itertools
 import operator
@@ -10,19 +11,21 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from latpoly.cayley import width_candidates
+from latpoly.cayley import same_normal_fan, width_candidates
 from latpoly.errors import InvalidPolytope
 from latpoly.polytope import (
     HPolytope,
     VertexData,
     VPolytope,
     _cone_over,
+    _lattice_fibres,
     contains,
     ensure_lattice,
     facets,
     is_smooth,
     shrink,
     vertex_data,
+    vertices,
 )
 from latpoly.ratlin import (
     adjugate,
@@ -236,3 +239,38 @@ def dual_degree(p: HPolytope, seed: int = 0) -> int:
     total = sum((-1) ** len(s) * (n - len(s) + 1) * vol for s, vol in volumes.items())
     assert total.denominator == 1
     return int(total)
+
+
+def check_regime_certificate(h: HPolytope, report) -> None:
+    """Assert that a classify report in the regime is certified by its own
+    Cayley structure, with dot products only.
+
+    The functionals f_i = <row_i, x> - t_i and f_0 = 1 - sum_i f_i must be
+    facets of h; they sum to 1, and on the j-th dilate to j.  At a point of
+    shrink(h, a, b) each is at least b, so a >= (k + 1) b: qc >= k + 1.  At
+    a lattice point interior to the j-th dilate each is a positive integer,
+    so j >= k + 1: c >= k + 1.  One lattice point interior to (k + 1)h then
+    gives c = k + 1, hence qc = k + 1 (qc <= c), and Q-normality gives the
+    nef value.  Every vertex must sit at 0 or some e_i, each value taken, so
+    the rows are a Cayley structure of k + 1 summands.  The point comes from
+    the package's walk; only its check is done here.
+    """
+    dec = report.cayley
+    assert report.classification_applies and dec is not None and dec.s == 1
+    k = dec.k
+    assert report.codegree == report.qcodegree == report.nef_value == k + 1
+    heights = set()
+    for v in vertices(h).vertices:
+        y = [dot(row, v) - t for row, t in zip(dec.projection, dec.translation)]
+        assert all(c in (0, 1) for c in y) and sum(y) <= 1, (v, y)
+        heights.add(tuple(y))
+    assert len(heights) == k + 1
+    rows = [(row, -t) for row, t in zip(dec.projection, dec.translation)]
+    rows.append((tuple(-sum(c) for c in zip(*dec.projection)), 1 + sum(dec.translation)))
+    assert all(row in h.facets for row in rows), rows
+    prefix, r = next(_lattice_fibres(shrink(h, k + 1, 1)))
+    point = prefix + (r[0],)
+    assert all(type(c) is int for c in point)
+    assert all(dot(normal, point) + (k + 1) * offset > 0 for normal, offset in h.facets)
+    summands = dec.summands
+    assert dec.strict is all(same_normal_fan(summands[0], q) for q in summands[1:])

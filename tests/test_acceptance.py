@@ -42,6 +42,7 @@ from latpoly.polytope import (
 from latpoly.ratlin import dot
 from oracles import (
     apply_unimodular,
+    check_regime_certificate,
     dual_degree,
     exhaustive_best_k,
     is_spanned,
@@ -189,6 +190,17 @@ def test_cayley_classification_both_directions(strict_builds, corpus_reports):
     _report("high-codegree classification, both directions")
 
 
+def test_regime_certificates(corpus_reports):
+    # The scaling oracle for every corpus member in the regime.
+    applied = 0
+    for name, h, report in corpus_reports:
+        if report.classification_applies:
+            check_regime_certificate(h, report)
+            applied += 1
+    assert applied >= 100
+    _report("regime certificates")
+
+
 def test_split_family_sweep():
     rng = random.Random(97)
     cases = []
@@ -257,7 +269,8 @@ def test_oracle_equivalences():
         generate("lawrence", 1, 2, 3),
     ]
     for p in polys:
-        assert codegree(p) == _interior_scan_codegree(p)
+        # codegree alone computes qc; classify passes its own in.
+        assert codegree(p) == classify(p).codegree == _interior_scan_codegree(p)
 
     for p in (generate("simplex", 1, 2), generate("simplex", 2, 3),
               generate("blowup", 4, 1, 3), generate("lawrence", 2, 3)):

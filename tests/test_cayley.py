@@ -22,6 +22,8 @@ from latpoly.cayley import (
 from latpoly.errors import InvalidPolytope
 from latpoly.polytope import (
     VPolytope,
+    _max_cones,
+    _normal_cones,
     affine_dim,
     facets,
     is_smooth,
@@ -605,3 +607,45 @@ def test_same_normal_fan_matches_snf_reference():
         assert verdict is _snf_same_normal_fan(a, b), (a, b)
         verdicts.append(verdict)
     assert 60 <= sum(verdicts) <= 240
+
+
+def _cloud(rng, n):
+    """Random lattice points spanning R^n, with non-extreme points and
+    repeats."""
+    while True:
+        pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 6))]
+        if affine_dim(pts) == n:
+            return pts + rng.sample(pts, 2)
+
+
+def test_mask_read_cones_match_facet_fans():
+    # same_normal_fan reads each cone off the masks of the double
+    # description facets runs; the reference takes it from vertex_data of
+    # the facets.  Pairs in R^n are compared as they are and after one
+    # injective integer map into R^(n+1) or R^(n+2), which makes them
+    # lower-dimensional there.
+    rng = random.Random(59)
+    verdicts = []
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        a = _cloud(rng, n)
+        if rng.random() < 0.5:  # a dilate and translate: the same fan
+            k = rng.randint(1, 3)
+            t = [rng.randint(-3, 3) for _ in range(n)]
+            b = [tuple(k * c + s for c, s in zip(x, t)) for x in a]
+        else:
+            b = _cloud(rng, n)
+        for pts in (a, b):
+            q = VPolytope(n, tuple(pts))
+            assert _normal_cones(VPolytope(n, tuple(sorted(set(pts))))) == _max_cones(facets(q))
+        verdict = normal_fan_equal(facets(VPolytope(n, tuple(a))), facets(VPolytope(n, tuple(b))))
+        assert same_normal_fan(VPolytope(n, tuple(a)), VPolytope(n, tuple(b))) is verdict
+        m = n + rng.randint(1, 2)
+        while True:
+            cols = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+            if rank(cols) == n:
+                break
+        up = [VPolytope(m, tuple(tuple(dot(col, x) for col in zip(*cols)) for x in pts)) for pts in (a, b)]
+        assert same_normal_fan(*up) is verdict
+        verdicts.append(verdict)
+    assert 40 <= sum(verdicts) <= 110

@@ -8,7 +8,7 @@ import pytest
 from fractions import Fraction
 
 import latpoly
-from latpoly import lpx
+from latpoly import cli, lpx, polytope
 from latpoly.cayley import DETECT_BUDGET, build, generate, lattice_point, segment
 from latpoly.cli import main
 from latpoly.errors import InvalidPolytope, InvariantViolation
@@ -279,6 +279,38 @@ def test_analyze_over_fibre_budget_exit_2(tmp_path, capsys):
     assert good_entry["report"]["lattice_point_count"] == 3
 
 
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name == "latpoly" or name.startswith("latpoly."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+@pytest.mark.parametrize("kind, runs", [("hrep", 5), ("vrep", 7)])
+def test_analyze_work_count(tmp_path, monkeypatch, capsys, kind, runs):
+    # The double descriptions one analyze of the 10-segment prism runs, a
+    # count no machine noise moves.  hrep: vertex_data (its cone points
+    # also give the lattice count's box), qcodegree, the codegree walk at
+    # ceil(qc) = 10 only, and one hull per distinct summand (segments of
+    # length 1 and 2).  A vrep file adds reduce_vertices and facets.
+    h = generate("lawrence", [1 + i % 2 for i in range(10)])
+    target = tmp_path / "prism.json"
+    save_polytope(target, **{kind: h if kind == "hrep" else vertices(h)})
+    calls = []
+    original = polytope._extreme_rays
+
+    def counted(rows, dim):
+        calls.append(dim)
+        return original(rows, dim)
+
+    monkeypatch.setattr(polytope, "_extreme_rays", counted)
+    _clear_package_caches()
+    assert main(["analyze", str(target)]) == 0
+    assert "codegree:              10\n" in capsys.readouterr().out
+    assert len(calls) == runs
+
+
 def test_over_ray_budget_exit_2(tmp_path, capsys):
     # The unit 12-cube has 4096 vertices, over RAY_BUDGET.
     indir = tmp_path / "in"
@@ -484,16 +516,21 @@ def test_batch_simplices(tmp_path, capsys):
         assert Fraction(rep["nef_value"]) == rep["dim"] + 1
 
 
-def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+def test_unwritable_output_is_a_usage_error(tmp_path, monkeypatch, capsys):
     # Reads fail inside load_polytope as invalid polytopes (exit 2); a write
-    # to a missing directory is a bad parameter (exit 1).
+    # to a missing directory is a bad parameter (exit 1), found before the
+    # batch analyzes any file.
     indir = tmp_path / "in"
     indir.mkdir()
     write_gen(indir, "simplex2.json", "simplex", 1, 2)
     missing = tmp_path / "missing"
+    analyzed = []
+    entry = cli._batch_entry
+    monkeypatch.setattr(cli, "_batch_entry", lambda path: analyzed.append(path) or entry(path))
     capsys.readouterr()
     assert main(["batch", str(indir), "--out", str(missing / "r.json")]) == 1
     assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+    assert analyzed == []
     assert main(["gen", "simplex", "1", "2", "-o", str(missing / "s.json")]) == 1
     assert capsys.readouterr().err.startswith("error: [Errno 2] ")
     assert not missing.exists()

@@ -29,6 +29,7 @@ from latpoly.polytope import (
 )
 from oracles import (
     apply_unimodular,
+    check_regime_certificate,
     is_spanned,
     random_unimodular,
     spanned_at_vertex,
@@ -205,6 +206,14 @@ def test_classify_sheared_prisms_past_detect(m):
     assert report.classification_applies is True
     assert report.codegree == m
     assert report.cayley.k == m - 1 and report.cayley.strict is True
+
+
+@pytest.mark.parametrize("m", [20, 40, 60])
+def test_sheared_prism_regime_certificate(m):
+    # Past every enumerating oracle: the certificate checks the walk's
+    # start at ceil(qc) with dot products only.
+    h = _sheared_prism(m)
+    check_regime_certificate(h, classify(h))
 
 
 def test_classify_matches_detect_on_sheared_prisms():

@@ -187,6 +187,53 @@ def test_adjugate_times_random():
         adjugate_times(((1, 0), (0, 1)), ((1,),))
 
 
+def _unskipped_adjugate_times(rows, block):
+    """adjugate_times without its skip, for A whose pivots need no row
+    swap, with the number of row updates that left their row unchanged."""
+    n = len(rows)
+    m = [list(r) + list(b) for r, b in zip(rows, block)]
+    prev = 1
+    unchanged = 0
+    for k in range(n):
+        top = m[k]
+        for i in range(n):
+            if i != k:
+                new = [(top[k] * x - m[i][k] * y) // prev for x, y in zip(m[i], top)]
+                unchanged += new == m[i]
+                m[i] = new
+        prev = top[k]
+    return prev, tuple(tuple(r[n:]) for r in m), unchanged
+
+
+def test_adjugate_times_sparse_unit_pivots():
+    # Facet normals at a vertex are sparse with pivots +-1, so most row
+    # updates are the identity and are skipped.  Unit lower triangular: every
+    # pivot is 1 and no row swaps; shuffled copies with rows negated take
+    # the swapping path and pivots of both signs.
+    rng = random.Random(41)
+    updates = unchanged = 0
+    for _ in range(60):
+        n = rng.randint(2, 24)
+        a = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in rng.sample(range(i), min(i, 2)):
+                a[i][j] = rng.choice((-1, 1))
+        ones = ((1,),) * n
+        d, adj = adjugate(a)
+        assert abs(d) == 1 and d == det(a)
+        assert mat_mul(a, adj) == tuple(tuple(d * x for x in r) for r in identity(n))
+        ref_d, ref_sums, same = _unskipped_adjugate_times(a, ones)
+        assert adjugate_times(a, ones) == (ref_d, ref_sums) == (d, mat_mul(adj, ones))
+        updates += n * (n - 1)
+        unchanged += same
+        rng.shuffle(a)
+        a = [[-x for x in r] if rng.random() < 0.5 else r for r in a]
+        d, adj = adjugate(a)
+        assert d == det(a)
+        assert mat_mul(a, adj) == tuple(tuple(d * x for x in r) for r in identity(n))
+    assert 4 * unchanged > 3 * updates, (unchanged, updates)
+
+
 def _fraction_rank(rows):
     """Reference: Gauss-Jordan elimination over Fractions."""
     m = [[Fraction(x) for x in r] for r in rows]
