@@ -32,7 +32,13 @@ _BIG = 2**53
 
 
 def encode_int(x: int):
-    return x if -_BIG < x < _BIG else str(x)
+    if -_BIG < x < _BIG:
+        return x
+    try:
+        return str(x)
+    except ValueError:  # past Python's limit on decimal digits, 4300 by default
+        bits = x.bit_length()
+        raise InvalidPolytope(f"an integer of {bits} bits has too many digits to write") from None
 
 
 def decode_int(value) -> int:
@@ -176,6 +182,8 @@ def load_polytope(path) -> LoadedPolytope:
         raise InvalidPolytope(f"cannot read {path}: {err}") from None
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError: malformed JSON, or an integer literal past Python's
+        # digit limit; RecursionError: arrays or objects nested too deeply.
         raise InvalidPolytope(f"{path} is not valid JSON: {err}") from None
     return parse_polytope(payload)

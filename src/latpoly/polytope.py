@@ -9,7 +9,8 @@ routine (_extreme_rays).  The cone {(x, t) : t >= 0, <normal, x> + offset t
 >= 0} over a facet presentation has the vertices, with their incident half
 spaces, as its rays with t > 0; emptiness, boundedness, dimension, facets
 and the lattice box are read off them.  The cone {(a, b) : <a, v> + b >= 0}
-over a point set has the facets of its hull as its rays.
+over a point set has the facets of its hull, within its affine hull, as its
+rays and the equations of that affine hull as its lineality.
 
 Lattice points come fibre by fibre, as in PALP (Kreuzer and Skarke,
 Comput. Phys. Commun. 157, 2004): a depth-first walk fixes x_1, ...,
@@ -251,33 +252,42 @@ def affine_dim(points: Sequence[Point]) -> int:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _hull(q: VPolytope) -> tuple[HPolytope, tuple[int, ...]]:
-    """The canonical facets of a full-dimensional vertex presentation, with
-    the bit mask of the points of q on each (bit j: q.vertices[j]).
+def _hull(q: VPolytope) -> tuple[HPolytope, tuple[int, ...], int]:
+    """The facets of the hull of a presentation of distinct points within
+    its affine hull, the bit mask of the points of q on each (bit j:
+    q.vertices[j]), and the number of equations of that affine hull.
 
     The facets are the extreme rays (a, b) of the cone of valid inequalities
-    {(a, b) : <a, v> + b >= 0 for every vertex v}, whose lineality space is
-    the equations of the affine hull.
+    {(a, b) : <a, v> + b >= 0 for every point v}, whose lineality space is
+    the equations.  With no equations they are canonical, sorted with
+    primitive inward normals; otherwise each is one representative modulo
+    the equations, and only its mask is meaningful.
     """
     n = q.dim
     if n < 1:
         raise InvalidPolytope("ambient dimension must be at least 1")
     rays, lineality = _extreme_rays(_lifted(q.vertices), n + 1)
-    if lineality:
-        raise InvalidPolytope(f"affine hull has dimension {n - len(lineality)}, expected {n}")
     found = []
     for y, zero in rays:
+        if not zero:  # 0 x + b >= 0, the one ray over a single point: no facet
+            continue
         g = math.gcd(*y[:-1])
         found.append(((tuple(c // g for c in y[:-1]), _q(Fraction(y[-1], g))), zero))
     found.sort()  # by facet alone, since no two rays give one
-    return HPolytope(n, tuple(f for f, _ in found)), tuple(zero for _, zero in found)
+    zeros = tuple(zero for _, zero in found)
+    return HPolytope(n, tuple(f for f, _ in found)), zeros, len(lineality)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def facets(q: VPolytope) -> HPolytope:
-    """Exact convex hull of a full-dimensional vertex presentation.  The
-    output is canonical (primitive inward normals, irredundant, sorted)."""
-    return _hull(q)[0]
+    """Exact convex hull of a full-dimensional vertex presentation, the
+    facets of _hull(q).  The output is canonical (primitive inward normals,
+    irredundant, sorted); a flat q, whose _hull facets are canonical only
+    modulo its equations, raises InvalidPolytope."""
+    h, _, equations = _hull(q)
+    if equations:
+        raise InvalidPolytope(f"affine hull has dimension {q.dim - equations}, expected {q.dim}")
+    return h
 
 
 def _extreme(zeros: Sequence[int], count: int) -> list[int]:
@@ -301,7 +311,7 @@ def _normal_cones(q: VPolytope) -> frozenset:
     distinct points, as _max_cones(facets(q)) gives them, read off the
     masks of _hull(q): each vertex's cone is the set of normals of the
     facets through it, listed in the sorted order of the facets."""
-    h, zeros = _hull(q)
+    h, zeros, _ = _hull(q)
     return frozenset(
         tuple(normal for (normal, _), zero in zip(h.facets, zeros) if zero >> i & 1)
         for i in _extreme(zeros, len(q.vertices))
@@ -362,7 +372,7 @@ def _lattice_fibres(p: HPolytope, budget: int | None = None):
     def walk(k, prefix, partial):
         nonlocal visited
         values = fibre(k, partial)
-        visited += len(values)
+        visited += max(values.stop - values.start, 0)  # len() overflows past 2**63 - 1
         if budget is not None and visited > budget:
             raise InvalidPolytope(f"lattice point count passed {visited} fibres, budget {budget}")
         if k < n - 2:
@@ -394,7 +404,7 @@ def lattice_point_count(p: HPolytope) -> int:
     """Number of integer points of a bounded presentation, the summed fibre
     lengths of _lattice_fibres: 0 when p is empty.  InvalidPolytope when p is
     unbounded or its walk opens more fibres than FIBRE_BUDGET."""
-    return sum(len(r) for _, r in _lattice_fibres(p, FIBRE_BUDGET))
+    return sum(r.stop - r.start for _, r in _lattice_fibres(p, FIBRE_BUDGET))
 
 
 def shrink(p: HPolytope, a: int, b: int) -> HPolytope:
@@ -450,14 +460,15 @@ def normal_fan_equal(p: HPolytope, q: HPolytope) -> bool:
 def reduce_vertices(points: Sequence[Point], dim: int) -> VPolytope:
     """Deduplicate and keep only extreme points of the given set.
 
-    The rays of the cone over the points are the facets of their hull within
-    its affine hull (whose equations are the lineality); _extreme reads the
-    extreme points off their zero masks.
+    _extreme reads the extreme points off the masks of the facets of their
+    hull within its affine hull, from the _hull that facets and the fan test
+    of same_normal_fan share.  For a flat set those facets are
+    representatives modulo the equations, whose masks serve all the same.
     """
     uniq = sorted({tuple(_q(c) for c in pt) for pt in points})
     if any(len(pt) != dim for pt in uniq):
         raise ValueError("point length does not match the ambient dimension")
     if len(uniq) <= 1:
         return VPolytope(dim, tuple(uniq))
-    zeros = [zero for _, zero in _extreme_rays(_lifted(uniq), dim + 1)[0]]
+    zeros = _hull(VPolytope(dim, tuple(uniq)))[1]
     return VPolytope(dim, tuple(uniq[i] for i in _extreme(zeros, len(uniq))))

@@ -9,7 +9,14 @@ from fractions import Fraction
 
 import latpoly
 from latpoly import cli, lpx, polytope
-from latpoly.cayley import DETECT_BUDGET, build, generate, lattice_point, segment
+from latpoly.cayley import (
+    DETECT_BUDGET,
+    build,
+    check_localsplit,
+    generate,
+    lattice_point,
+    segment,
+)
 from latpoly.cli import main
 from latpoly.errors import InvalidPolytope, InvariantViolation
 from latpoly.fileio import (
@@ -114,6 +121,16 @@ MALFORMED = {
     },
     "no-half-spaces": {"format": "latpoly/1", "dim": 1, "hrep": {"normals": [], "offsets": []}},
     "not-utf-8": b"\xff\xfe{}",
+    # json.loads raises ValueError past Python's 4300-digit limit on int().
+    "integer-past-digit-limit": b'{"format": "latpoly/1", "dim": ' + b"1" * 5000 + b"}",
+    # and RecursionError on nesting this deep.
+    "nested-too-deep": b"[" * 100000 + b"]" * 100000,
+    # A segment of 10^4300 lattice points, a count str() cannot write.
+    "count-past-digit-limit": {
+        "format": "latpoly/1",
+        "dim": 1,
+        "hrep": {"normals": [[1], [-1]], "offsets": [0, "9" * 4300]},
+    },
 }
 
 
@@ -257,25 +274,34 @@ def write_hrep(path, normals, offsets):
 
 
 def test_analyze_long_segment(tmp_path, capsys):
-    target = write_hrep(tmp_path / "segment.json", [[1], [-1]], [0, 10**8])
-    assert main(["analyze", str(target), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["lattice_point_count"] == 10**8 + 1
+    # 10^19 + 1 points pass 2^63 - 1, where len() of the fibre's range
+    # overflows; past 2^53 the count is written as a string.
+    for length, count in [(10**8, 10**8 + 1), (10**19, str(10**19 + 1))]:
+        target = write_hrep(tmp_path / "segment.json", [[1], [-1]], [0, length])
+        assert main(["analyze", str(target), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["lattice_point_count"] == count
 
 
 def test_analyze_over_fibre_budget_exit_2(tmp_path, capsys):
+    # The second box's first fibre, 10^19 + 1 values, overflows len().
     indir = tmp_path / "in"
     indir.mkdir()
     box = [[1, 0], [-1, 0], [0, 1], [0, -1]]
-    bad = write_hrep(indir / "a_box.json", box, [0, 2 * 10**6, 0, 1])
+    bad = [
+        (write_hrep(indir / f"a_box{i}.json", box, [0, width, 0, height]), width)
+        for i, (width, height) in enumerate([(2 * 10**6, 1), (10**19, 10**19)])
+    ]
     write_gen(indir, "b_good.json", "simplex", 1, 2)
-    assert main(["analyze", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid polytope: ") and err.count("\n") == 1
-    assert f"passed {2 * 10**6 + 1} fibres, budget {FIBRE_BUDGET}" in err
+    for path, width in bad:
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid polytope: ") and err.count("\n") == 1
+        assert f"passed {width + 1} fibres, budget {FIBRE_BUDGET}" in err
     out = tmp_path / "report.json"
     assert main(["batch", str(indir), "--out", str(out)]) == 0
-    bad_entry, good_entry = json.loads(out.read_text())["reports"]
-    assert bad_entry["input"] == str(bad) and f"budget {FIBRE_BUDGET}" in bad_entry["error"]
+    *bad_entries, good_entry = json.loads(out.read_text())["reports"]
+    assert [entry["input"] for entry in bad_entries] == [str(path) for path, _ in bad]
+    assert all(f"budget {FIBRE_BUDGET}" in entry["error"] for entry in bad_entries)
     assert good_entry["report"]["lattice_point_count"] == 3
 
 
@@ -287,16 +313,8 @@ def _clear_package_caches():
                     value.cache_clear()
 
 
-@pytest.mark.parametrize("kind, runs", [("hrep", 5), ("vrep", 7)])
-def test_analyze_work_count(tmp_path, monkeypatch, capsys, kind, runs):
-    # The double descriptions one analyze of the 10-segment prism runs, a
-    # count no machine noise moves.  hrep: vertex_data (its cone points
-    # also give the lattice count's box), qcodegree, the codegree walk at
-    # ceil(qc) = 10 only, and one hull per distinct summand (segments of
-    # length 1 and 2).  A vrep file adds reduce_vertices and facets.
-    h = generate("lawrence", [1 + i % 2 for i in range(10)])
-    target = tmp_path / "prism.json"
-    save_polytope(target, **{kind: h if kind == "hrep" else vertices(h)})
+def _count_double_descriptions(monkeypatch) -> list:
+    """The dims of the _extreme_rays runs from here on, all caches cleared."""
     calls = []
     original = polytope._extreme_rays
 
@@ -306,9 +324,36 @@ def test_analyze_work_count(tmp_path, monkeypatch, capsys, kind, runs):
 
     monkeypatch.setattr(polytope, "_extreme_rays", counted)
     _clear_package_caches()
+    return calls
+
+
+@pytest.mark.parametrize("kind, runs", [("hrep", 5), ("vrep", 6)])
+def test_analyze_work_count(tmp_path, monkeypatch, capsys, kind, runs):
+    # The double descriptions one analyze of the 10-segment prism runs, a
+    # count no machine noise moves.  hrep: vertex_data (its cone points
+    # also give the lattice count's box), qcodegree, the codegree walk at
+    # ceil(qc) = 10 only, and one hull per distinct summand (segments of
+    # length 1 and 2).  A vrep file adds the hull of its points, which
+    # reduce_vertices reads and facets reuses, every point being a vertex.
+    h = generate("lawrence", [1 + i % 2 for i in range(10)])
+    target = tmp_path / "prism.json"
+    save_polytope(target, **{kind: h if kind == "hrep" else vertices(h)})
+    calls = _count_double_descriptions(monkeypatch)
     assert main(["analyze", str(target)]) == 0
     assert "codegree:              10\n" in capsys.readouterr().out
     assert len(calls) == runs
+
+
+def test_localsplit_work_count(monkeypatch):
+    # One hull per rectangle for build_strict's fan test, which build's
+    # reduction of each summand reuses, then facets of the sum and
+    # vertex_data for is_smooth.
+    def rect(a, b):
+        return VPolytope(2, ((0, 0), (0, b), (a, 0), (a, b)))
+
+    calls = _count_double_descriptions(monkeypatch)
+    check_localsplit([rect(1, 1), rect(2, 1), rect(3, 2)], 1)
+    assert len(calls) == 5
 
 
 def test_over_ray_budget_exit_2(tmp_path, capsys):
