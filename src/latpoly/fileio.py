@@ -41,6 +41,14 @@ def encode_int(x: int):
         raise InvalidPolytope(f"an integer of {bits} bits has too many digits to write") from None
 
 
+# Longest literal an error line quotes; a longer one is named by its length.
+_QUOTED = 40
+
+
+def _literal(value: str) -> str:
+    return repr(value) if len(value) <= _QUOTED else f"of {len(value)} characters"
+
+
 def decode_int(value) -> int:
     if isinstance(value, bool):
         raise InvalidPolytope(f"expected an integer, got {value!r}")
@@ -50,7 +58,7 @@ def decode_int(value) -> int:
         try:
             return int(value)
         except ValueError:
-            raise InvalidPolytope(f"bad integer literal {value!r}") from None
+            raise InvalidPolytope(f"bad integer literal {_literal(value)}") from None
     raise InvalidPolytope(f"expected an integer, got {value!r}")
 
 
@@ -70,7 +78,7 @@ def decode_rational(value):
         try:
             f = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise InvalidPolytope(f"bad rational literal {value!r}") from None
+            raise InvalidPolytope(f"bad rational literal {_literal(value)}") from None
         return int(f) if f.denominator == 1 else f
     raise InvalidPolytope(f"expected a rational, got {value!r}")
 

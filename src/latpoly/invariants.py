@@ -79,22 +79,22 @@ def nef_value(p: HPolytope):
     Closed form: over every vertex m (inward direction u) and every facet j,
     the shift stays inside iff a (<rho_j, m> + a_j) >= b (1 - <rho_j, u>), so
     the threshold is the largest of the ratios (1 - <rho_j, u>) / (<rho_j, m>
-    + a_j) with positive numerator; a facet through m has numerator 0.
+    + a_j) with positive numerator; a facet through m has numerator 0.  Every
+    other facet misses m, so its denominator is positive and the ratios
+    compare by cross-multiplication.
     """
     _require_smooth(p)
-    best = None
+    best_num, best_den = 0, 1
     for v in vertex_data(p):
         for normal, offset in p.facets:
             num = 1 - dot(normal, v.u)
-            if num <= 0:
-                continue
-            den = dot(normal, v.point) + offset
-            ratio = Fraction(num) / den
-            if best is None or ratio > best:
-                best = ratio
-    if best is None or best <= 0:
+            if num > 0:
+                den = dot(normal, v.point) + offset
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
+    if not best_num:
         raise InvariantViolation("no positive spanning threshold found")
-    return _q(best)
+    return _q(Fraction(best_num, best_den))
 
 
 def is_q_normal(p: HPolytope) -> bool:

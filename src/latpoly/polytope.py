@@ -15,7 +15,11 @@ rays and the equations of that affine hull as its lineality.
 Lattice points come fibre by fibre, as in PALP (Kreuzer and Skarke,
 Comput. Phys. Commun. 157, 2004): a depth-first walk fixes x_1, ...,
 x_{n-1}, each half space bounding the next coordinate, and the last one
-ranges over an interval of lattice points, listed or just counted.
+ranges over an interval of lattice points.  lattice_points lists them from
+a generator of fibres.  lattice_point_count has a walk of its own that
+returns integers and memoizes the count below each fixed prefix by the
+partial sums of the rows still live there; FIBRE_BUDGET counts the fibres
+it opens, and a memo hit opens none.
 """
 
 from __future__ import annotations
@@ -318,27 +322,26 @@ def _normal_cones(q: VPolytope) -> frozenset:
     )
 
 
-def _lattice_fibres(p: HPolytope, budget: int | None = None):
-    """Fibres (prefix, r) of a bounded presentation in lexicographic order,
-    r the nonempty range of the v with prefix + (v,) a lattice point.
+def _fibre_setup(p: HPolytope):
+    """The setup the fibre walks over a bounded presentation share: (rows,
+    fibre), or None when p is empty, with rows the pairs (a, floor(b)) of
+    its half spaces and fibre(k, partial, v=0) the range of x_k once x_1,
+    ..., x_{k-1} are fixed, partial[i] + a_{k-1} v being row i's fixed sum.
 
     p is checked here, by _cone_points, whose double description of the
     cone over p (the one vertex_data reads, cached) also gives the box: an
-    empty p yields nothing, an unbounded one raises InvalidPolytope.
+    unbounded p raises InvalidPolytope.
 
-    A depth-first walk fixes x_1, ..., x_{n-1}.  A half space <a, x> >= -b
-    bounds x_k by a_k x_k >= -b - (sum of a_j x_j over the fixed j < k) - S_k,
-    S_k the largest value of the terms j > k over the integer vertex box.
-    For a row's last nonzero coefficient S_k is 0, so that bound is the row
-    itself: every point of a fibre satisfies every half space.  The loop
-    over x_{n-1} bounds x_n directly, adding a_{n-1} x_{n-1} per row.  Each
-    value the walk fixes opens a fibre of the next coordinate; once it has
-    opened more than budget fibres, InvalidPolytope.
+    A half space <a, x> >= -b bounds x_k by a_k x_k >= -b - (sum of a_j x_j
+    over the fixed j < k) - S_k, S_k the largest value of the terms j > k
+    over the integer vertex box.  For a row's last nonzero coefficient S_k
+    is 0, so that bound is the row itself: every point of a fibre of the
+    last coordinate satisfies every half space.
     """
     n = p.dim
     points = [x for x, _ in _cone_points(p)]
     if not points:
-        return
+        return None
     lo = [math.ceil(min(col)) for col in zip(*points)]
     hi = [math.floor(max(col)) for col in zip(*points)]
     # At integer points <a, x> >= -b is <a, x> >= -floor(b).
@@ -353,7 +356,6 @@ def _lattice_fibres(p: HPolytope, budget: int | None = None):
                 levels[k].append((i, a[k], a[k - 1] if k else 0, bound))
 
     def fibre(k, partial, v=0):
-        """Range of x_k, partial[i] + a_{k-1} v being row i's fixed sum."""
         low, high = lo[k], hi[k]
         for i, a, e, c in levels[k]:
             r = c - partial[i] - e * v
@@ -367,14 +369,24 @@ def _lattice_fibres(p: HPolytope, budget: int | None = None):
                     high = r
         return range(low, high + 1)
 
-    visited = 0
+    return rows, fibre
+
+
+def _lattice_fibres(p: HPolytope):
+    """Fibres (prefix, r) of a bounded presentation in lexicographic order,
+    r the nonempty range of the v with prefix + (v,) a lattice point: a
+    depth-first walk over _fibre_setup(p) fixes x_1, ..., x_{n-1}, and the
+    loop over x_{n-1} bounds x_n directly, adding a_{n-1} x_{n-1} per row.
+    An empty p yields nothing, an unbounded one raises InvalidPolytope.
+    """
+    n = p.dim
+    setup = _fibre_setup(p)
+    if setup is None:
+        return
+    rows, fibre = setup
 
     def walk(k, prefix, partial):
-        nonlocal visited
         values = fibre(k, partial)
-        visited += max(values.stop - values.start, 0)  # len() overflows past 2**63 - 1
-        if budget is not None and visited > budget:
-            raise InvalidPolytope(f"lattice point count passed {visited} fibres, budget {budget}")
         if k < n - 2:
             for v in values:
                 extended = [s + a[k] * v for s, (a, _) in zip(partial, rows)]
@@ -397,14 +409,69 @@ def lattice_points(p: HPolytope) -> tuple[tuple[int, ...], ...]:
     return tuple(prefix + (v,) for prefix, r in _lattice_fibres(p) for v in r)
 
 
-FIBRE_BUDGET = 10**6  # fibres lattice_point_count may open: about 1 s at 1 us each
+# Fibres lattice_point_count may open, each a value it fixes in x_1, ...,
+# x_{n-1} outside a memoized subtree: about 1 s at 1 us each.
+FIBRE_BUDGET = 10**6
+# Subtree counts lattice_point_count keeps per level within one call.
+MEMO_SIZE = 2**12
 
 
 def lattice_point_count(p: HPolytope) -> int:
-    """Number of integer points of a bounded presentation, the summed fibre
-    lengths of _lattice_fibres: 0 when p is empty.  InvalidPolytope when p is
-    unbounded or its walk opens more fibres than FIBRE_BUDGET."""
-    return sum(r.stop - r.start for _, r in _lattice_fibres(p, FIBRE_BUDGET))
+    """Number of integer points of a bounded presentation: 0 when p is
+    empty.  InvalidPolytope when p is unbounded or its walk opens more
+    fibres than FIBRE_BUDGET.
+
+    The walk over _fibre_setup(p) adds up the ranges of the last coordinate
+    in place and memoizes the count below each value it fixes.  Once x_1,
+    ..., x_k are fixed, that count depends only on the partial sums of the
+    rows still live, those with a nonzero coefficient at k + 1 or later:
+    every other row was enforced exactly at its last nonzero coefficient.
+    The key is the tuple of those sums, less the rows with no fixed term
+    yet, whose sums are 0.  Each level keeps up to MEMO_SIZE counts for the
+    one call; a hit opens no fibre.
+    """
+    n = p.dim
+    setup = _fibre_setup(p)
+    if setup is None:
+        return 0
+    rows, fibre = setup
+    partial = [0] * len(rows)
+    if n == 1:
+        r = fibre(0, partial)
+        return max(r.stop - r.start, 0)  # len() overflows past 2**63 - 1
+    # keyed[k]: (row index, a_{k-1}) for each row live at k with a fixed term.
+    keyed = [
+        [(i, a[k - 1]) for i, (a, _) in enumerate(rows) if any(a[k:]) and any(a[:k])]
+        for k in range(n)
+    ]
+    memos = [{} for _ in range(n)]
+    opened = 0
+
+    def count(k, partial):
+        nonlocal opened
+        values = fibre(k, partial)
+        opened += max(values.stop - values.start, 0)
+        if opened > FIBRE_BUDGET:
+            raise InvalidPolytope(f"lattice point count passed {opened} fibres, budget {FIBRE_BUDGET}")
+        total = 0
+        if k == n - 2:
+            for v in values:
+                r = fibre(n - 1, partial, v)
+                if r:
+                    total += r.stop - r.start
+            return total
+        memo, live = memos[k + 1], keyed[k + 1]
+        for v in values:
+            key = tuple([partial[i] + a * v for i, a in live])
+            below = memo.get(key)
+            if below is None:
+                below = count(k + 1, [s + a[k] * v for s, (a, _) in zip(partial, rows)])
+                if len(memo) < MEMO_SIZE:
+                    memo[key] = below
+            total += below
+        return total
+
+    return count(0, partial)
 
 
 def shrink(p: HPolytope, a: int, b: int) -> HPolytope:

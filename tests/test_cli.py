@@ -305,6 +305,20 @@ def test_analyze_over_fibre_budget_exit_2(tmp_path, capsys):
     assert good_entry["report"]["lattice_point_count"] == 3
 
 
+def test_overlong_bad_literal_named_by_length(tmp_path, capsys):
+    # A bad literal is quoted only while short; a longer one is named by its
+    # length, so the error stays one short line.
+    long = "9" * 4999 + "x"
+    for normals, offsets, message in [
+        ([[1], [-1]], [0, long], "bad rational literal of 5000 characters"),
+        ([[long], [-1]], [0, 1], "bad integer literal of 5000 characters"),
+        ([[1], [-1]], [0, "1/0"], "bad rational literal '1/0'"),
+    ]:
+        target = write_hrep(tmp_path / "bad.json", normals, offsets)
+        assert main(["analyze", str(target)]) == 2
+        assert capsys.readouterr().err == f"invalid polytope: {message}\n"
+
+
 def _clear_package_caches():
     for name, module in list(sys.modules.items()):
         if name == "latpoly" or name.startswith("latpoly."):

@@ -586,6 +586,89 @@ def test_lattice_points_match_box_scan():
             assert codegree(p) == first, p
 
 
+def _fibres_opened(monkeypatch, p):
+    """The fibres lattice_point_count opens on p: the least FIBRE_BUDGET it
+    stays within."""
+    budget = polytope.FIBRE_BUDGET
+    low, high = 0, budget
+    while low < high:
+        mid = (low + high) // 2
+        monkeypatch.setattr(polytope, "FIBRE_BUDGET", mid)
+        try:
+            lattice_point_count(p)
+            high = mid
+        except InvalidPolytope:
+            low = mid + 1
+    monkeypatch.setattr(polytope, "FIBRE_BUDGET", budget)
+    return low
+
+
+def _natural_and_sheared(rng):
+    """Dilated simplices and blowups of dimension 4 and 5 in the coordinates
+    generate gives, whose slices repeat, and sheared images of them, whose
+    slices differ."""
+    natural = [simplex(5, 4), simplex(3, 5), blowup(5, 2, 4), blowup(4, 1, 4)]
+    sheared = []
+    for p in natural:
+        u = random_unimodular(rng, p.dim)
+        t = tuple(rng.randint(-3, 3) for _ in range(p.dim))
+        sheared.append(facets(apply_unimodular(vertices(p), u, t)))
+    return natural, sheared
+
+
+@pytest.mark.parametrize("memo_size", [polytope.MEMO_SIZE, 2])
+def test_lattice_point_count_matches_listing_and_box_scan(monkeypatch, memo_size):
+    monkeypatch.setattr(polytope, "MEMO_SIZE", memo_size)
+    rng = random.Random(36)
+    # Dimensions 1-5 with rational offsets and duplicate, scaled and
+    # redundant rows, the members with far-away rows, and empty shrinks.
+    randoms = []
+    while len(randoms) < 30:
+        p = _random_presentation(rng, 5)
+        if math.comb(len(p.facets), p.dim) <= 126 and is_bounded(p):
+            shifts = [Fraction(rng.randint(-3, 3), rng.randint(2, 4)) for _ in p.facets]
+            randoms.append(HPolytope(p.dim, tuple((a, b + t) for (a, b), t in zip(p.facets, shifts))))
+    assert {p.dim for p in randoms} == {1, 2, 3, 4, 5}
+    padded = [_padded(p, len(p.facets) + 4, rng) for p in _members()]
+    shrinks = [shrink(p, 1, k) for p in _members() for k in (1, 2)]
+    assert sum(is_empty(p) for p in shrinks) >= 5
+    natural, sheared = _natural_and_sheared(rng)
+    for p in randoms + padded + shrinks + natural + sheared:
+        count = lattice_point_count(p)
+        assert count == len(lattice_points(p)) == len(_box_scan(p)), p
+
+
+def test_lattice_point_count_memo_hits(monkeypatch):
+    # The memo saves fibres on repeated slices and changes nothing where
+    # no two prefixes share their live partial sums.
+    natural, sheared = _natural_and_sheared(random.Random(36))
+    with_memo = [_fibres_opened(monkeypatch, p) for p in natural + sheared]
+    monkeypatch.setattr(polytope, "MEMO_SIZE", 0)
+    without = [_fibres_opened(monkeypatch, p) for p in natural + sheared]
+    k = len(natural)
+    assert all(a < b for a, b in zip(with_memo[:k], without[:k])), (with_memo, without)
+    assert with_memo[k:] == without[k:]
+
+
+def test_lattice_point_count_memo_work_guard(monkeypatch):
+    # simplex 19 4 has C(23, 4) = 8855 points.  Walking every fibre opens
+    # 20 + 210 + 1540 = 1770 of them; with the subtree counts memoized by the
+    # one live partial sum, x_1 + ... + x_k, it opens 20 + 210 + 210 = 440.
+    monkeypatch.setattr(polytope, "FIBRE_BUDGET", 450)
+    assert lattice_point_count(simplex(19, 4)) == 8855
+
+
+def test_lattice_point_count_memo_size(monkeypatch):
+    # simplex 19 4 keys each level by x_1 + ... + x_k.  With no room, or
+    # room for the first key alone (0, which no other prefix reaches), the
+    # walk opens every fibre; room for the 20 sums 0, ..., 19 saves 1,330.
+    p = simplex(19, 4)
+    for size, opened in ((0, 1770), (1, 1770), (20, 440)):
+        monkeypatch.setattr(polytope, "MEMO_SIZE", size)
+        assert _fibres_opened(monkeypatch, p) == opened
+        assert lattice_point_count(p) == 8855
+
+
 # Subset-loop and LP references for the double description conversions.
 
 
