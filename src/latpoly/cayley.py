@@ -10,10 +10,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidPolytope
-from .invariants import nef_value, qcodegree
+from .invariants import _qcodegree_smooth, nef_value
 from .polytope import (
     HPolytope,
     VPolytope,
+    _facet_masks,
     _normal_cones,
     _q,
     affine_dim,
@@ -23,7 +24,7 @@ from .polytope import (
     hpolytope,
     is_smooth,
     reduce_vertices,
-    vertices,
+    vertex_data,
 )
 from .ratlin import adjugate, dot, identity, independent, mat_vec, rank, smith_normal_form, vsub
 
@@ -199,12 +200,14 @@ def _class_mask(verts, w, lo, s):
     return mask
 
 
-def _structures(verts, oriented, k, s, steps):
+def _structures(verts, oriented, k, s, steps, strict):
     """Order-s decompositions, in lexicographic order, by k rows of the sorted
     (functional, minimum, class mask) candidates `oriented` over `verts`
     whose classes are disjoint, leave some vertex at the minimum, and whose
     rows span a surjection onto Z^k (Smith form all ones).  Each node of the
-    family search charges the next count of `steps` against DETECT_BUDGET."""
+    family search charges the next count of `steps` against DETECT_BUDGET.
+    strict(classes, summands) decides strictness from the k + 1 class masks,
+    the one at the minimum first, and the summands."""
     n = len(verts[0])
     full = (1 << len(verts)) - 1
 
@@ -226,12 +229,17 @@ def _structures(verts, oriented, k, s, steps):
             continue
         translation = tuple(oriented[i][1] for i in family)
         masks = [oriented[i][2] for i in family]
+        classes = (full ^ sum(masks), *masks)  # disjoint: the sum is the union
         summands = []
-        for mask in (full ^ sum(masks), *masks):  # disjoint: the sum is the union
+        for mask in classes:
             pts = {tuple(mat_vec(v, x)[k:]) for i, x in enumerate(verts) if mask >> i & 1}
             summands.append(VPolytope(n - k, tuple(sorted(pts))))
-        strict = all(same_normal_fan(summands[0], q) for q in summands[1:])
-        yield CayleyDecomposition(k, s, proj, translation, tuple(summands), strict)
+        yield CayleyDecomposition(k, s, proj, translation, tuple(summands), strict(classes, summands))
+
+
+def _same_fans(classes, summands) -> bool:
+    """Strictness by definition: the summands share one normal fan."""
+    return all(same_normal_fan(summands[0], q) for q in summands[1:])
 
 
 def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
@@ -277,7 +285,8 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     oriented.sort()  # by w alone, since no two candidates share one
     atoms = len({tuple(m >> i & 1 for _, _, m in oriented) for i in range(len(verts))})
     ks = range(min(n, atoms - 1), 0, -1)  # the first structure at the largest k
-    return next((dec for k in ks for dec in _structures(verts, oriented, k, s, steps)), None)
+    structures = (dec for k in ks for dec in _structures(verts, oriented, k, s, steps, _same_fans))
+    return next(structures, None)
 
 
 def _facet_structure(h: HPolytope, k: int) -> CayleyDecomposition | None:
@@ -290,13 +299,37 @@ def _facet_structure(h: HPolytope, k: int) -> CayleyDecomposition | None:
     dimension n - k.  Row i is minimized on the Cayley polytope of the other
     k summands, of dimension (k - 1) + (n - k) = n - 1: a facet, with inner
     normal row i, on which the row takes 0 and elsewhere 1.  Family nodes
-    charge DETECT_BUDGET from 0; no y is solved.
+    charge DETECT_BUDGET from 0; no y is solved.  Strictness is read off
+    the incidences of vertex_data by _same_cones, with no summand hull.
     """
-    verts = vertices(h).vertices
+    data = vertex_data(h)
+    verts = tuple(v.point for v in data)
+    incidences = [sum(1 << i for i in v.incident) for v in data]
+    tight = _facet_masks([v.incident for v in data], len(h.facets))
     candidates = ((a, -b, _class_mask(verts, a, -b, 1)) for a, b in h.facets)
     oriented = sorted(c for c in candidates if c[2] is not None)
-    structures = _structures(verts, oriented, k, 1, itertools.count(1))
+
+    def strict(classes, summands):
+        return _same_cones(incidences, tight, classes)
+
+    structures = _structures(verts, oriented, k, 1, itertools.count(1), strict)
     return next((dec for dec in structures if dec.strict), None)
+
+
+def _same_cones(incidences, tight, classes) -> bool:
+    """Whether a Cayley structure on a canonical presentation is strict:
+    whether every height class (vertex masks `classes`) has the same set of
+    cones, a cone being the facets through a vertex (`incidences`) less the
+    height facets, those on exactly the vertices outside one class
+    (`tight`).  A height facet is the face of a height functional, in the
+    span of the rows.  Modulo that span the normal cone of P at a vertex is
+    the summand's, so equal sets give one fan; and with one fan each ray
+    gives one facet of P, on every summand's vertices whose cone holds it.
+    """
+    outside = {((1 << len(incidences)) - 1) ^ c for c in classes}
+    cones = ~sum(1 << i for i, m in enumerate(tight) if m in outside)
+    seen = [{incidences[j] & cones for j in range(len(incidences)) if c >> j & 1} for c in classes]
+    return all(s == seen[0] for s in seen[1:])
 
 
 def check_localsplit(summands, s: int) -> LocalsplitReport:
@@ -317,8 +350,8 @@ def check_localsplit(summands, s: int) -> LocalsplitReport:
     qc = None
     verdict = False
     if applicable:
-        qc = qcodegree(h)
         tau = nef_value(h)
+        qc = _qcodegree_smooth(h, tau)
         verdict = qc == expected and tau == expected
     return LocalsplitReport(applicable, k, s, dims, smooth, expected, tau, qc, verdict)
 

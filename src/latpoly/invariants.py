@@ -17,6 +17,7 @@ from .polytope import (
     _cone_over,
     _lattice_fibres,
     _q,
+    affine_dim,
     is_smooth,
     shrink,
     vertex_data,
@@ -28,21 +29,39 @@ def codegree(p: HPolytope, *, qc=None) -> int:
     """Smallest k such that the k-th dilate has an interior lattice point.
 
     p is validated once, by vertex_data (cached for every caller): it must be
-    nonempty and bounded.  A shrink keeps the normals, so it is bounded too;
-    the walk over each shrink checks that again on its own double
-    description, and for each k stops at its first nonempty fibre.
+    nonempty and bounded.  A shrink keeps the normals, so it is bounded too.
+    The walk over each shrink stops at its first nonempty fibre.
 
     The walk tests shrink(p, k, 1) from k = ceil(qc) on, qc the rational
     codegree (computed here unless the caller passes it): by the definition
     of qc, that shrink has no real point at all when k < qc.
+
+    When every vertex v has its u, the walk's box is that of the points
+    k v + u_v, clipped to the box of kP, with no double description.  The
+    shrink lies in their hull: y = sum c_i rho_i, c_i >= 0, over the facets
+    of any vertex v bounds <y, x> >= sum c_i (1 - k a_i) = <y, k v + u_v>
+    on it.
     """
-    vertex_data(p)
+    data = vertex_data(p)
     if qc is None:
         qc = qcodegree(p)
+    all_u = all(v.u is not None for v in data)
     for k in range(math.ceil(qc), p.dim + 2):
-        if next(_lattice_fibres(shrink(p, k, 1)), None) is not None:
+        box = _shrink_box(data, k) if all_u else None
+        if next(_lattice_fibres(shrink(p, k, 1), box), None) is not None:
             return k
     raise InvariantViolation(f"no interior lattice point up to dilation {p.dim + 1}")
+
+
+def _shrink_box(data, k):
+    """(lo, hi), the integer box of the points k v + u_v of vertex data
+    that all have u, clipped to the box of k times their points."""
+    shifted = [[k * c + d for c, d in zip(v.point, v.u)] for v in data]
+    lo, hi = [], []
+    for s, c in zip(zip(*shifted), zip(*(v.point for v in data))):
+        lo.append(max(math.ceil(min(s)), math.ceil(k * min(c))))
+        hi.append(min(math.floor(max(s)), math.floor(k * max(c))))
+    return lo, hi
 
 
 def degree(p: HPolytope) -> int:
@@ -98,8 +117,28 @@ def nef_value(p: HPolytope):
 
 
 def is_q_normal(p: HPolytope) -> bool:
+    """Whether the rational codegree equals the nef value, by _flat_shifts."""
     _require_smooth(p)
-    return qcodegree(p) == nef_value(p)
+    return _flat_shifts(p, nef_value(p))
+
+
+def _flat_shifts(p: HPolytope, tau) -> bool:
+    """Whether the smooth p with nef value tau = a/b is Q-normal: whether the
+    points a v + b u_v have affine rank below n.  nef_value puts them in
+    shrink(p, a, b), which lies in their hull as in codegree, so the shrink
+    is their hull.  It has an interior point exactly when qc < a/b, and
+    qc <= tau always.
+    """
+    t = Fraction(tau)
+    a, b = t.numerator, t.denominator
+    points = [tuple(a * c + b * d for c, d in zip(v.point, v.u)) for v in vertex_data(p)]
+    return affine_dim(points) < p.dim
+
+
+def _qcodegree_smooth(p: HPolytope, tau):
+    """qcodegree(p) for a smooth p with nef value tau, which is tau on a
+    Q-normal p."""
+    return tau if _flat_shifts(p, tau) else qcodegree(p)
 
 
 class InvariantReport(NamedTuple):
@@ -123,13 +162,16 @@ def classify(p: HPolytope) -> InvariantReport:
     has facet normals for rows (see cayley._facet_structure), so the search
     over those finds one exactly when one exists.  The predicted dual
     defect 2*codegree - 2 - n is reported exactly in that case.
+
+    On a Q-normal p every answer comes off vertex_data's one double
+    description; otherwise qcodegree runs its lifted one.
     """
     _require_smooth(p)
     n = p.dim
-    qc = qcodegree(p)
+    tau = nef_value(p)
+    qc = _qcodegree_smooth(p, tau)
     c = codegree(p, qc=qc)
     d = n + 1 - c
-    tau = nef_value(p)
     if not (qc <= c <= n + 1):
         raise InvariantViolation(f"codegree bounds violated: {qc} vs {c} vs {n + 1}")
     if not (tau > c - 1 and tau >= qc):

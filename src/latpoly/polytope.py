@@ -7,8 +7,10 @@ presentations list exact rational points.
 Every conversion reads the rays of a cone from one exact double description
 routine (_extreme_rays).  The cone {(x, t) : t >= 0, <normal, x> + offset t
 >= 0} over a facet presentation has the vertices, with their incident half
-spaces, as its rays with t > 0; emptiness, boundedness, dimension, facets
-and the lattice box are read off them.  The cone {(a, b) : <a, v> + b >= 0}
+spaces, as its rays with t > 0; emptiness, boundedness, dimension, facets,
+the edges that give each vertex its u and the lattice box are read off
+them, unless the caller has a lattice box of its own, as codegree has for
+the shrinks of a smooth polytope.  The cone {(a, b) : <a, v> + b >= 0}
 over a point set has the facets of its hull, within its affine hull, as its
 rays and the equations of that affine hull as its lineality.
 
@@ -30,7 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidPolytope
-from .ratlin import adjugate_times, dot, identity, primitive, rank, vsub
+from .ratlin import dot, identity, primitive, rank, vsub
 
 Point = tuple
 Facet = tuple  # (normal, offset)
@@ -205,10 +207,7 @@ def canonicalize(p: HPolytope) -> HPolytope:
             tight[key] = val
     work = HPolytope(p.dim, tuple(sorted(tight.items())))
     data = vertex_data(work)
-    masks = [0] * len(work.facets)  # bit j: vertex j is tight
-    for j, v in enumerate(data):
-        for i in v.incident:
-            masks[i] |= 1 << j
+    masks = _facet_masks([v.incident for v in data], len(work.facets))
     if (1 << len(data)) - 1 in masks:  # an equation of the affine hull
         raise InvalidPolytope("polytope is not full-dimensional")
     kept = tuple(
@@ -219,6 +218,16 @@ def canonicalize(p: HPolytope) -> HPolytope:
     return HPolytope(p.dim, kept)
 
 
+def _facet_masks(incidents, count: int) -> list[int]:
+    """For each of `count` half spaces, the bit mask of the vertices on it,
+    bit j for the vertex whose incident half spaces are incidents[j]."""
+    masks = [0] * count
+    for j, incident in enumerate(incidents):
+        for i in incident:
+            masks[i] |= 1 << j
+    return masks
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def vertex_data(p: HPolytope) -> tuple[VertexData, ...]:
     """All vertices with their incident facet sets, sorted by point.
@@ -226,19 +235,42 @@ def vertex_data(p: HPolytope) -> tuple[VertexData, ...]:
     Works on any bounded nonempty facet presentation, canonical or not
     (shrunk presentations keep redundant hyperplanes on purpose): the rays
     with t > 0 of the cone over p, which has no others when p is bounded.
+
+    A vertex v on exactly n half spaces gets u from its edges: the n - 1
+    other than row i cut out an edge, whose vertices (the AND of their
+    masks) are v and one w.  With e_i the primitive direction of w - v and A
+    the n normals, A E = diag(<rho_i, e_i>), positive integers; A is
+    unimodular exactly when all are 1, and then u = A^-1 1 = sum of the e_i.
     """
     n = p.dim
     found = sorted(_cone_points(p))
     if not found:
         raise InvalidPolytope("polytope is empty")
+    incidents = [tuple(i for i in range(len(p.facets)) if zero >> i & 1) for _, zero in found]
+    masks = _facet_masks(incidents, len(p.facets))
+    full = (1 << len(found)) - 1
     data = []
-    for x, zero in found:
-        incident = tuple(i for i in range(len(p.facets)) if zero >> i & 1)
+    for j, ((x, _), incident) in enumerate(zip(found, incidents)):
         u = None
         if len(incident) == n:
-            d, sums = adjugate_times([p.facets[i][0] for i in incident], ((1,),) * n)
-            if abs(d) == 1:  # u = adj 1 / d
-                u = tuple(d * row[0] for row in sums)
+            # after[i]: the AND of the masks of rows i, i + 1, ... at v.
+            after = [full] * (n + 1)
+            for i in range(n - 1, -1, -1):
+                after[i] = after[i + 1] & masks[incident[i]]
+            before, total = full, [0] * n
+            for i, row in enumerate(incident):
+                w = found[((before & after[i + 1]) ^ 1 << j).bit_length() - 1][0]
+                before &= masks[row]
+                d = [b - a for a, b in zip(x, w)]
+                if not all(type(c) is int for c in d):
+                    scale = math.lcm(*(c.denominator for c in d))
+                    d = [int(c * scale) for c in d]
+                e = primitive(d)
+                if dot(p.facets[row][0], e) != 1:
+                    break
+                total = [a + b for a, b in zip(total, e)]
+            else:
+                u = tuple(total)
         data.append(VertexData(x, incident, u))
     return tuple(data)
 
@@ -322,15 +354,17 @@ def _normal_cones(q: VPolytope) -> frozenset:
     )
 
 
-def _fibre_setup(p: HPolytope):
+def _fibre_setup(p: HPolytope, box=None):
     """The setup the fibre walks over a bounded presentation share: (rows,
     fibre), or None when p is empty, with rows the pairs (a, floor(b)) of
     its half spaces and fibre(k, partial, v=0) the range of x_k once x_1,
     ..., x_{k-1} are fixed, partial[i] + a_{k-1} v being row i's fixed sum.
 
-    p is checked here, by _cone_points, whose double description of the
-    cone over p (the one vertex_data reads, cached) also gives the box: an
-    unbounded p raises InvalidPolytope.
+    The box is the caller's (lo, hi), integer bounds that hold every lattice
+    point of p, or else the box of the vertices of p.  Those come from
+    _cone_points, whose double description of the cone over p (the one
+    vertex_data reads, cached) also checks p: an unbounded p raises
+    InvalidPolytope.
 
     A half space <a, x> >= -b bounds x_k by a_k x_k >= -b - (sum of a_j x_j
     over the fixed j < k) - S_k, S_k the largest value of the terms j > k
@@ -339,11 +373,12 @@ def _fibre_setup(p: HPolytope):
     last coordinate satisfies every half space.
     """
     n = p.dim
-    points = [x for x, _ in _cone_points(p)]
-    if not points:
-        return None
-    lo = [math.ceil(min(col)) for col in zip(*points)]
-    hi = [math.floor(max(col)) for col in zip(*points)]
+    if box is None:
+        points = [x for x, _ in _cone_points(p)]
+        if not points:
+            return None
+        box = [math.ceil(min(col)) for col in zip(*points)], [math.floor(max(col)) for col in zip(*points)]
+    lo, hi = box
     # At integer points <a, x> >= -b is <a, x> >= -floor(b).
     rows = [(normal, math.floor(offset)) for normal, offset in p.facets]
     # levels[k]: (row index, a_k, a_{k-1}, -b - S_k) for each row with a_k != 0.
@@ -372,15 +407,16 @@ def _fibre_setup(p: HPolytope):
     return rows, fibre
 
 
-def _lattice_fibres(p: HPolytope):
+def _lattice_fibres(p: HPolytope, box=None):
     """Fibres (prefix, r) of a bounded presentation in lexicographic order,
     r the nonempty range of the v with prefix + (v,) a lattice point: a
-    depth-first walk over _fibre_setup(p) fixes x_1, ..., x_{n-1}, and the
-    loop over x_{n-1} bounds x_n directly, adding a_{n-1} x_{n-1} per row.
-    An empty p yields nothing, an unbounded one raises InvalidPolytope.
+    depth-first walk over _fibre_setup(p, box) fixes x_1, ..., x_{n-1}, and
+    the loop over x_{n-1} bounds x_n directly, adding a_{n-1} x_{n-1} per
+    row.  An empty p yields nothing, an unbounded one raises InvalidPolytope
+    unless a box is given.
     """
     n = p.dim
-    setup = _fibre_setup(p)
+    setup = _fibre_setup(p, box)
     if setup is None:
         return
     rows, fibre = setup

@@ -1,11 +1,12 @@
 """Reference geometry the tests compare the package against, and that no
 runtime path of the package needs: unimodular images and random unimodular
 maps, lattice equivalence, the emptiness test, an exhaustive Cayley search,
-spannedness by definition, the degree of the dual variety of a smooth
-polytope's toric variety, and a certificate for each report in the
-classification's regime."""
+spannedness by definition, u by the adjugate, the degree of the dual variety
+of a smooth polytope's toric variety, the h*-vector, and a certificate for
+each report in the classification's regime."""
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -23,12 +24,14 @@ from latpoly.polytope import (
     ensure_lattice,
     facets,
     is_smooth,
+    lattice_point_count,
     shrink,
     vertex_data,
     vertices,
 )
 from latpoly.ratlin import (
     adjugate,
+    adjugate_times,
     det,
     dot,
     identity,
@@ -174,6 +177,32 @@ def exhaustive_best_k(p: VPolytope, s: int):
         if valid:
             best = (r, min(valid))
     return best
+
+
+def adjugate_u(p: HPolytope, v: VertexData):
+    """The u of a vertex by definition: the solution of <rho_i, u> = 1 over
+    its incident normals when there are n of them and they form a lattice
+    basis, by one fraction-free elimination; otherwise None."""
+    n = p.dim
+    if len(v.incident) != n:
+        return None
+    d, sums = adjugate_times([p.facets[i][0] for i in v.incident], ((1,),) * n)
+    return tuple(d * row[0] for row in sums) if abs(d) == 1 else None
+
+
+def ehrhart_hstar(p: HPolytope) -> list[int]:
+    """The h*-vector of a lattice polytope, h*_i = sum over j <= i of
+    (-1)^j C(n + 1, j) L(i - j), from the counts L(t) of its dilates
+    t = 0, ..., n.  h*_0 = 1 and every entry is nonnegative (Stanley,
+    "Decompositions of rational convex polytopes", 1980), and by
+    Ehrhart-Macdonald reciprocity n + 1 - deg h* is the codegree.  It walks
+    dilates, never a shrink, and never reads qc."""
+    n = p.dim
+    counts = [1] + [
+        lattice_point_count(HPolytope(n, tuple((a, t * b) for a, b in p.facets)))
+        for t in range(1, n + 1)
+    ]
+    return [sum((-1) ** j * math.comb(n + 1, j) * counts[i - j] for j in range(i + 1)) for i in range(n + 1)]
 
 
 def vertex_shift(v: VertexData, a: int, b: int) -> tuple:

@@ -6,6 +6,7 @@ with -v -s gives a one-line verdict per criterion.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -22,7 +23,9 @@ from latpoly.cayley import (
     segment,
     width_candidates,
 )
+from latpoly.cayley import _class_mask, _same_cones, _same_fans, _structures
 from latpoly.invariants import (
+    _shrink_box,
     classify,
     codegree,
     degree,
@@ -32,18 +35,24 @@ from latpoly.invariants import (
 )
 from latpoly.polytope import (
     VPolytope,
+    _facet_masks,
+    _lattice_fibres,
     facets,
     is_smooth,
+    lattice_point_count,
     lattice_points,
     shrink,
     vertex_data,
     vertices,
 )
 from latpoly.ratlin import dot
+from test_polytope import _box_scan
 from oracles import (
+    adjugate_u,
     apply_unimodular,
     check_regime_certificate,
     dual_degree,
+    ehrhart_hstar,
     exhaustive_best_k,
     is_spanned,
     lattice_equivalent,
@@ -99,6 +108,38 @@ def corpus(strict_builds):
 @pytest.fixture(scope="module")
 def corpus_reports(corpus):
     return [(name, h, classify(h)) for name, h in corpus]
+
+
+@pytest.fixture(scope="module")
+def sheared(corpus_reports):
+    """(image, report of the member) for every tenth corpus member, each
+    sheared by the unimodular map seeded with its index in the corpus."""
+    return [
+        (transformed(h, random_unimodular(random.Random(i), h.dim), (0,) * h.dim), report)
+        for i, (_, h, report) in enumerate(corpus_reports)
+        if i % 10 == 0
+    ]
+
+
+@pytest.fixture(scope="module")
+def products():
+    """generate("product", a, b) of dimension at most 6, with its factors:
+    simplices, blowups, a square, a Lawrence prism and the non-smooth
+    order-2 build."""
+    factors = [
+        generate("simplex", 1, 1),
+        generate("simplex", 3, 1),
+        generate("simplex", 1, 2),
+        generate("simplex", 2, 2),
+        generate("blowup", 3, 1, 2),
+        generate("cube", 2),
+        generate("lawrence", 1, 2),
+        generate("simplex", 2, 3),
+        generate("blowup", 4, 2, 3),
+        facets(build([segment(6), segment(5), segment(3)], 2)),
+    ]
+    pairs = itertools.combinations_with_replacement(factors, 2)
+    return [(a, b, generate("product", a, b)) for a, b in pairs if a.dim + b.dim <= 6]
 
 
 def test_simplex_family():
@@ -396,3 +437,139 @@ def test_dual_degree_oracle(corpus_reports):
             applied += 1
     assert applied >= 100
     _report("dual defect against the GKZ degree")
+
+
+def test_vertex_data_routes(corpus, sheared, products):
+    # Each answer classify reads off vertex_data against its general route,
+    # on the corpus, sheared images of every tenth member, and products.
+    # u from the edges against the adjugate; Q-normality from the rank of
+    # the shifted vertices against qcodegree(p) == nef_value(p); the walk
+    # in the box of the points k v + u_v against _box_scan, or on sheared
+    # images, whose boxes are too large to scan, against the walk in the
+    # box of each shrink's own double description.  Each k from below
+    # ceil(qc) to the codegree is tried: the walk's range.
+    members = [h for _, h in corpus] + [h for _, _, h in products]
+    images = [h for h, _ in sheared]
+    q_normal = {True: 0, False: 0}
+    empty = {True: 0, False: 0}
+    for h, is_image in [(h, False) for h in members] + [(h, True) for h in images]:
+        data = vertex_data(h)
+        assert all(v.u == adjugate_u(h, v) for v in data), h
+        if not is_smooth(h)[0]:
+            continue
+        qc = qcodegree(h)
+        verdict = is_q_normal(h)
+        assert verdict is (qc == nef_value(h)), h
+        q_normal[verdict] += 1
+        for k in range(max(1, math.ceil(qc) - 1), codegree(h) + 1):
+            s = shrink(h, k, 1)
+            fibres = _lattice_fibres(s, _shrink_box(data, k))
+            if is_image:
+                none = next(fibres, None) is None
+                assert none is (next(_lattice_fibres(s), None) is None), (h, k)
+            else:
+                points = tuple(prefix + (v,) for prefix, r in fibres for v in r)
+                assert points == _box_scan(s), (h, k)
+                none = not points
+            empty[none] += 1
+    assert min(q_normal.values()) >= 10 and min(empty.values()) >= 100, (q_normal, empty)
+    _report("vertex data routes against the general routes")
+
+
+def _facet_row_verdicts(h, k):
+    """(incidence verdict, hull verdict) of every facet-row structure of h
+    with k rows, in the order of _structures."""
+    data = vertex_data(h)
+    verts = tuple(v.point for v in data)
+    incidences = [sum(1 << i for i in v.incident) for v in data]
+    tight = _facet_masks([v.incident for v in data], len(h.facets))
+    candidates = ((a, -b, _class_mask(verts, a, -b, 1)) for a, b in h.facets)
+    oriented = sorted(c for c in candidates if c[2] is not None)
+    verdicts = []
+
+    def both(classes, summands):
+        verdicts.append((_same_cones(incidences, tight, classes), _same_fans(classes, summands)))
+        return verdicts[-1][1]
+
+    for _ in _structures(verts, oriented, k, 1, itertools.count(1), both):
+        pass
+    return verdicts
+
+
+def test_incidence_strictness(corpus_reports):
+    # Strictness read off the incidences against the hulls of the summands,
+    # on every facet-row structure, at every k, of the corpus members in the
+    # regime, of smooth builds of four triangles or four trapezoids of mixed
+    # sizes, and of builds of polygons with different fans, as many vertices
+    # each, which are neither smooth nor strict.  Most structures below the
+    # codegree are not strict.
+    rng = random.Random(41)
+    triangle = lambda a: VPolytope(2, ((0, 0), (a, 0), (0, a)))
+    trapezoid = lambda a, b: VPolytope(2, ((0, 0), (a + b, 0), (0, b), (a, b)))
+    builds = [[triangle(rng.randint(1, 3)) for _ in range(4)] for _ in range(4)]
+    builds += [[trapezoid(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(4)] for _ in range(4)]
+    cases = [h for _, h, report in corpus_reports if report.classification_applies]
+    cases += [facets(build(summands, 1)) for summands in builds]
+    assert all(is_smooth(h)[0] for h in cases)
+    quads = [
+        VPolytope(2, ((0, 0), (1, 0), (0, 1), (1, 1))),
+        trapezoid(1, 1),
+        VPolytope(2, ((0, 0), (1, 0), (1, 1), (2, 1))),
+        VPolytope(2, ((0, 0), (2, 0), (1, 1), (1, -1))),
+    ]
+    cases += [facets(build(pair, 1)) for pair in itertools.combinations(quads, 2)]
+    tally = {True: 0, False: 0}
+    for h in cases:
+        for k in range(1, h.dim + 1):
+            for cones, fans in _facet_row_verdicts(h, k):
+                assert cones is fans, (h, k)
+                tally[fans] += 1
+    assert min(tally.values()) >= 500, tally
+    _report("strictness from the incidences")
+
+
+def test_ehrhart_oracle(corpus_reports, sheared):
+    # The codegree by a third route: n + 1 - deg h*, from counts of dilates
+    # alone, on the corpus and sheared images of every tenth member.
+    cases = [(h, report.codegree) for _, h, report in corpus_reports]
+    cases += [(h, report.codegree) for h, report in sheared]
+    for h, c in cases:
+        hstar = ehrhart_hstar(h)
+        assert hstar[0] == 1 and min(hstar) >= 0, (h, hstar)
+        degree = max(i for i, x in enumerate(hstar) if x)
+        assert h.dim + 1 - degree == c, (h, hstar, c)
+    _report("Ehrhart h* against the codegree")
+
+
+def test_dickenstein_nill(corpus_reports, products):
+    # Dickenstein and Nill (Math. Res. Lett. 17, 2010): a smooth polytope
+    # with 2c >= n + 3 is dual defective, hence Q-normal.
+    reports = [report for _, _, report in corpus_reports]
+    reports += [classify(h) for _, _, h in products if is_smooth(h)[0]]
+    high = [r for r in reports if 2 * r.codegree >= r.dim + 3]
+    assert all(r.q_normal for r in high)
+    assert len(high) >= 100 and any(not r.q_normal for r in reports)
+    _report("Dickenstein-Nill")
+
+
+def test_product_identities(products):
+    # For P x Q: the lattice points multiply; c and qc are the larger of the
+    # factors'; P x Q is smooth exactly when both are, and then its nef
+    # value is the larger one.  classify reads qc and Q-normality off the
+    # shifted vertices of the product, the factors by their own routes.
+    smooth = 0
+    for a, b, h in products:
+        assert lattice_point_count(h) == lattice_point_count(a) * lattice_point_count(b)
+        expect_c = max(codegree(a), codegree(b))
+        expect_qc = max(qcodegree(a), qcodegree(b))
+        assert is_smooth(h)[0] is (is_smooth(a)[0] and is_smooth(b)[0]), (a, b)
+        if is_smooth(h)[0]:
+            report = classify(h)
+            assert (report.codegree, report.qcodegree) == (expect_c, expect_qc), (a, b)
+            assert report.nef_value == max(nef_value(a), nef_value(b)), (a, b)
+            assert report.q_normal is (report.qcodegree == report.nef_value)
+            smooth += 1
+        else:
+            assert (codegree(h), qcodegree(h)) == (expect_c, expect_qc), (a, b)
+    assert smooth >= 30 and len(products) - smooth >= 5
+    _report("product identities")

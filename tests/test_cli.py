@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from latpoly import cli, lpx, polytope
 from latpoly.cayley import (
     DETECT_BUDGET,
     build,
+    build_strict,
     check_localsplit,
     generate,
     lattice_point,
@@ -26,7 +28,8 @@ from latpoly.fileio import (
     save_polytope,
 )
 from latpoly.invariants import classify
-from latpoly.polytope import FIBRE_BUDGET, RAY_BUDGET, VPolytope, vertices
+from latpoly.polytope import FIBRE_BUDGET, RAY_BUDGET, VPolytope, facets, vertices
+from test_invariants import _sheared_prism
 
 
 def write_gen(tmp_path, name, family, *params):
@@ -341,14 +344,16 @@ def _count_double_descriptions(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("kind, runs", [("hrep", 5), ("vrep", 6)])
+@pytest.mark.parametrize("kind, runs", [("hrep", 1), ("vrep", 2)])
 def test_analyze_work_count(tmp_path, monkeypatch, capsys, kind, runs):
     # The double descriptions one analyze of the 10-segment prism runs, a
-    # count no machine noise moves.  hrep: vertex_data (its cone points
-    # also give the lattice count's box), qcodegree, the codegree walk at
-    # ceil(qc) = 10 only, and one hull per distinct summand (segments of
-    # length 1 and 2).  A vrep file adds the hull of its points, which
-    # reduce_vertices reads and facets reuses, every point being a vertex.
+    # count no machine noise moves.  hrep: vertex_data only, whose cone
+    # points also give the lattice count's box.  The prism is smooth and
+    # Q-normal, so qc is the nef value by the rank of the shifted vertices,
+    # the codegree walk takes its box from them, and the strictness of the
+    # structure is read off the incidences.  A vrep file adds the hull of
+    # its points, which reduce_vertices reads and facets reuses, every
+    # point being a vertex.
     h = generate("lawrence", [1 + i % 2 for i in range(10)])
     target = tmp_path / "prism.json"
     save_polytope(target, **{kind: h if kind == "hrep" else vertices(h)})
@@ -356,6 +361,24 @@ def test_analyze_work_count(tmp_path, monkeypatch, capsys, kind, runs):
     assert main(["analyze", str(target)]) == 0
     assert "codegree:              10\n" in capsys.readouterr().out
     assert len(calls) == runs
+
+
+def _cube_sum(k, d):
+    """facets(build_strict) of k + 1 unit d-cubes: dimension k + d."""
+    cube = VPolytope(d, tuple(itertools.product((0, 1), repeat=d)))
+    return facets(build_strict([cube] * (k + 1), 1))
+
+
+@pytest.mark.parametrize("make", [lambda: _sheared_prism(20), lambda: _cube_sum(6, 5)], ids=["prism", "cubes"])
+def test_classify_work_count(monkeypatch, make):
+    # classify on a regime member runs only the double description behind
+    # vertex_data: Q-normality, qc, the codegree walk's box and the
+    # strictness of the structure all come off its vertex data.
+    h = make()
+    calls = _count_double_descriptions(monkeypatch)
+    report = classify(h)
+    assert report.classification_applies and report.cayley.strict
+    assert len(calls) == 1
 
 
 def test_localsplit_work_count(monkeypatch):

@@ -30,7 +30,7 @@ from latpoly.polytope import (
     vertices,
 )
 from latpoly.ratlin import UNIQUE, det, dot, primitive, solve_exact, vsub
-from oracles import apply_unimodular, is_empty, lattice_equivalent, random_unimodular
+from oracles import adjugate_u, apply_unimodular, is_empty, lattice_equivalent, random_unimodular
 
 # Small builders used across the suite.
 
@@ -799,6 +799,35 @@ def test_vertex_data_matches_subset_reference():
     assert all(any(len(v.incident) > p.dim for v in vertex_data(p)) for p in non_simple)
     rational = [c for p in randoms if not is_empty(p) for v in vertex_data(p) for c in v.point]
     assert any(isinstance(c, Fraction) for c in rational)
+
+
+def test_vertex_data_edge_u_matches_adjugate():
+    # u from the edges against the adjugate, on rational, redundant and
+    # non-simple presentations, shrinks, sheared images and builds.
+    rng = random.Random(233)
+    cases = _non_simple() + [facets(q) for q in _cayley_builds()]
+    while len(cases) < 120:
+        p = _random_presentation(rng, 5)
+        if is_bounded(p) and not is_empty(p):
+            cases.append(p)
+    for p in _members():
+        shifts = [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in p.facets]
+        cases.append(HPolytope(p.dim, tuple((a, _q(b + t)) for (a, b), t in zip(p.facets, shifts))))
+        cases.append(shrink(p, 2, 1))
+        cases.append(facets(apply_unimodular(vertices(p), random_unimodular(rng, p.dim), (0,) * p.dim)))
+    kinds = {"none": 0, "integer": 0, "rational": 0}
+    for p in cases:
+        try:
+            data = vertex_data(p)
+        except InvalidPolytope:  # a shift or a shrink that emptied p
+            continue
+        for v in data:
+            assert v.u == adjugate_u(p, v), (p, v)
+            if v.u is None:
+                kinds["none"] += 1
+            else:
+                kinds["integer" if all(type(c) is int for c in v.point) else "rational"] += 1
+    assert min(kinds.values()) > 50, kinds
 
 
 def test_facets_match_subset_reference():
