@@ -14,8 +14,9 @@ from .invariants import _qcodegree_smooth, nef_value
 from .polytope import (
     HPolytope,
     VPolytope,
+    _extreme,
     _facet_masks,
-    _normal_cones,
+    _hull,
     _q,
     affine_dim,
     canonicalize,
@@ -26,7 +27,7 @@ from .polytope import (
     reduce_vertices,
     vertex_data,
 )
-from .ratlin import adjugate, dot, identity, independent, mat_vec, rank, smith_normal_form, vsub
+from .ratlin import adjugate, dot, identity, independent, mat_vec, smith_normal_form, vsub
 
 
 class CayleyDecomposition(NamedTuple):
@@ -97,38 +98,32 @@ def build(summands, s: int) -> VPolytope:
 
 
 def same_normal_fan(a: VPolytope, b: VPolytope) -> bool:
-    """Fan equality for summands, allowing lower-dimensional ones.
-
-    Lower-dimensional polytopes must share their direction space.  A linear
-    isomorphism maps normal cones onto normal cones, so applying one map to
-    both polytopes keeps the verdict: both are projected onto da coordinates
-    that are independent on that space, which is injective on their affine
-    hulls, and the full-dimensional fans of the images are compared, each
-    read off the one double description that facets would run.
-    """
+    """Fan equality for summands, allowing lower-dimensional ones with one
+    direction space: _same_cones on the hull of the points (v, 0), (w, 1)."""
     if a.dim != b.dim or not a.vertices or not b.vertices:
         return False
-    diffs_a = [vsub(v, a.vertices[0]) for v in a.vertices[1:]]
-    diffs_b = [vsub(v, b.vertices[0]) for v in b.vertices[1:]]
-    cols = independent(list(zip(*diffs_a)))
-    da = len(cols)
-    if rank(diffs_b) != da or rank(diffs_a + diffs_b) != da:
-        return False
-    if da == 0:
-        return True
-    projected = [
-        VPolytope(da, tuple(sorted({tuple(v[c] for c in cols) for v in q.vertices})))
-        for q in (a, b)
-    ]
-    return _normal_cones(projected[0]) == _normal_cones(projected[1])
+    points = {(*v, 0) for v in a.vertices} | {(*w, 1) for w in b.vertices}
+    cay = VPolytope(a.dim + 1, tuple(sorted(points)))
+    classes = [sum(1 << i for i, x in enumerate(cay.vertices) if x[-1] == h) for h in (0, 1)]
+    return _same_cones(_vertex_masks(cay), classes)
 
 
 def build_strict(summands, s: int) -> VPolytope:
-    """As build, after checking that all summands share one normal fan."""
+    """As build, after checking that all summands share one normal fan
+    (_same_cones on the hull of the sum, which facets reuses); mixed ambient
+    dimensions or an empty summand fail before the build."""
     for j in range(1, len(summands)):
-        if not same_normal_fan(summands[0], summands[j]):
+        if summands[j].dim != summands[0].dim or not summands[0].vertices or not summands[j].vertices:
             raise InvalidPolytope(f"summands 0 and {j} have different normal fans")
-    return build(summands, s)
+    built = build(summands, s)
+    m = summands[0].dim
+    heights = [next((i + 1 for i, c in enumerate(x[m:]) if c), 0) for x in built.vertices]
+    classes = [sum(1 << i for i, h in enumerate(heights) if h == j) for j in range(len(summands))]
+    tight = _vertex_masks(built)
+    for j in range(1, len(summands)):
+        if not _same_cones(tight, (classes[0], classes[j])):
+            raise InvalidPolytope(f"summands 0 and {j} have different normal fans")
+    return built
 
 
 def _functionals(verts, ys):
@@ -200,14 +195,14 @@ def _class_mask(verts, w, lo, s):
     return mask
 
 
-def _structures(verts, oriented, k, s, steps, strict):
+def _structures(verts, oriented, k, s, steps):
     """Order-s decompositions, in lexicographic order, by k rows of the sorted
     (functional, minimum, class mask) candidates `oriented` over `verts`
     whose classes are disjoint, leave some vertex at the minimum, and whose
     rows span a surjection onto Z^k (Smith form all ones).  Each node of the
     family search charges the next count of `steps` against DETECT_BUDGET.
-    strict(classes, summands) decides strictness from the k + 1 class masks,
-    the one at the minimum first, and the summands."""
+    Yields the k + 1 class masks, the one at the minimum first, and the
+    decomposition, whose strictness the caller decides by _same_cones."""
     n = len(verts[0])
     full = (1 << len(verts)) - 1
 
@@ -234,12 +229,7 @@ def _structures(verts, oriented, k, s, steps, strict):
         for mask in classes:
             pts = {tuple(mat_vec(v, x)[k:]) for i, x in enumerate(verts) if mask >> i & 1}
             summands.append(VPolytope(n - k, tuple(sorted(pts))))
-        yield CayleyDecomposition(k, s, proj, translation, tuple(summands), strict(classes, summands))
-
-
-def _same_fans(classes, summands) -> bool:
-    """Strictness by definition: the summands share one normal fan."""
-    return all(same_normal_fan(summands[0], q) for q in summands[1:])
+        yield classes, CayleyDecomposition(k, s, proj, translation, tuple(summands), False)
 
 
 def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
@@ -264,6 +254,8 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     most the number of atoms, which is at most the number of vertices; k is
     also at most n, the rank of the projection, and the search for k
     starts at min(n, atoms - 1).  Past DETECT_BUDGET steps, InvalidPolytope.
+    Strictness comes from _same_cones on the hull of the points, which facets
+    and reduce_vertices share, once a structure is found.
     """
     n = p.dim
     ensure_lattice(p.vertices)
@@ -273,7 +265,7 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
         raise ValueError("width bound must be a positive integer")
     _charge(2**n - 1)
     steps = itertools.count(2**n)
-    verts = p.vertices
+    verts = tuple(dict.fromkeys(p.vertices))  # distinct, as _hull needs
     full = (1 << len(verts)) - 1
     oriented = []
     for w in _functionals(verts, itertools.product((0, s), repeat=n)):
@@ -285,8 +277,11 @@ def detect(p: VPolytope, s: int = 1) -> CayleyDecomposition | None:
     oriented.sort()  # by w alone, since no two candidates share one
     atoms = len({tuple(m >> i & 1 for _, _, m in oriented) for i in range(len(verts))})
     ks = range(min(n, atoms - 1), 0, -1)  # the first structure at the largest k
-    structures = (dec for k in ks for dec in _structures(verts, oriented, k, s, steps, _same_fans))
-    return next(structures, None)
+    found = next((f for k in ks for f in _structures(verts, oriented, k, s, steps)), None)
+    if found is None:
+        return None
+    classes, dec = found
+    return dec._replace(strict=_same_cones(_vertex_masks(VPolytope(n, verts)), classes))
 
 
 def _facet_structure(h: HPolytope, k: int) -> CayleyDecomposition | None:
@@ -300,35 +295,49 @@ def _facet_structure(h: HPolytope, k: int) -> CayleyDecomposition | None:
     k summands, of dimension (k - 1) + (n - k) = n - 1: a facet, with inner
     normal row i, on which the row takes 0 and elsewhere 1.  Family nodes
     charge DETECT_BUDGET from 0; no y is solved.  Strictness is read off
-    the incidences of vertex_data by _same_cones, with no summand hull.
+    the facets' vertex masks from vertex_data by _same_cones, with no hull.
     """
     data = vertex_data(h)
     verts = tuple(v.point for v in data)
-    incidences = [sum(1 << i for i in v.incident) for v in data]
     tight = _facet_masks([v.incident for v in data], len(h.facets))
     candidates = ((a, -b, _class_mask(verts, a, -b, 1)) for a, b in h.facets)
     oriented = sorted(c for c in candidates if c[2] is not None)
-
-    def strict(classes, summands):
-        return _same_cones(incidences, tight, classes)
-
-    structures = _structures(verts, oriented, k, 1, itertools.count(1), strict)
-    return next((dec for dec in structures if dec.strict), None)
+    structures = _structures(verts, oriented, k, 1, itertools.count(1))
+    strict = (dec._replace(strict=True) for classes, dec in structures if _same_cones(tight, classes))
+    return next(strict, None)
 
 
-def _same_cones(incidences, tight, classes) -> bool:
-    """Whether a Cayley structure on a canonical presentation is strict:
-    whether every height class (vertex masks `classes`) has the same set of
-    cones, a cone being the facets through a vertex (`incidences`) less the
-    height facets, those on exactly the vertices outside one class
-    (`tight`).  A height facet is the face of a height functional, in the
-    span of the rows.  Modulo that span the normal cone of P at a vertex is
-    the summand's, so equal sets give one fan; and with one fan each ray
-    gives one facet of P, on every summand's vertices whose cone holds it.
+def _vertex_masks(q: VPolytope) -> list[int]:
+    """The masks of the facets of _hull(q), bit j for q.vertices[j], less the
+    non-extreme points, each of which would add a cone of its own."""
+    _, zeros, _ = _hull(q)
+    extreme = sum(1 << i for i in _extreme(zeros, len(q.vertices)))
+    return [zero & extreme for zero in zeros]
+
+
+def _same_cones(tight, classes) -> bool:
+    """Whether the listed height classes of C = Cay(P_0, ..., P_k), within
+    its affine hull, see one set of cones: whether their summands share one
+    normal fan.  `tight` holds the vertex masks of C's facets, `classes`
+    those of the classes; points on no facet are dropped.  A point's cone
+    is the set of non-height facets through it.
+
+    A facet missing a class is the face where that class's height is 0:
+    exactly the vertices outside it.  Any other facet meets every class and
+    is Cay(F_0, ..., F_k), F_i the face of P_i minimized by a ray y of the
+    fan S of P_0 + ... + P_k, and (v, i) is on it iff y is in the normal
+    cone of P_i at v.  S refines each P_i's fan, so that cone is the cone
+    over the rays of S it holds.  A class not listed has a height facet
+    through every listed point.  The order s keeps every incidence; C need
+    not be simple nor the summands full-dimensional.
     """
-    outside = {((1 << len(incidences)) - 1) ^ c for c in classes}
-    cones = ~sum(1 << i for i, m in enumerate(tight) if m in outside)
-    seen = [{incidences[j] & cones for j in range(len(incidences)) if c >> j & 1} for c in classes]
+    on = 0
+    for mask in tight:
+        on |= mask
+    outside = {on & ~c for c in classes}
+    cones = [mask for mask in tight if mask not in outside]
+    cone = lambda j: tuple(m >> j & 1 for m in cones)
+    seen = [{cone(j) for j in range(on.bit_length()) if c & on & 1 << j} for c in classes]
     return all(s == seen[0] for s in seen[1:])
 
 

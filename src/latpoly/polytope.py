@@ -342,18 +342,6 @@ def _extreme(zeros: Sequence[int], count: int) -> list[int]:
     return out
 
 
-def _normal_cones(q: VPolytope) -> frozenset:
-    """The maximal normal cones of a full-dimensional presentation of
-    distinct points, as _max_cones(facets(q)) gives them, read off the
-    masks of _hull(q): each vertex's cone is the set of normals of the
-    facets through it, listed in the sorted order of the facets."""
-    h, zeros, _ = _hull(q)
-    return frozenset(
-        tuple(normal for (normal, _), zero in zip(h.facets, zeros) if zero >> i & 1)
-        for i in _extreme(zeros, len(q.vertices))
-    )
-
-
 def _fibre_setup(p: HPolytope, box=None):
     """The setup the fibre walks over a bounded presentation share: (rows,
     fibre), or None when p is empty, with rows the pairs (a, floor(b)) of
@@ -564,8 +552,8 @@ def reduce_vertices(points: Sequence[Point], dim: int) -> VPolytope:
     """Deduplicate and keep only extreme points of the given set.
 
     _extreme reads the extreme points off the masks of the facets of their
-    hull within its affine hull, from the _hull that facets and the fan test
-    of same_normal_fan share.  For a flat set those facets are
+    hull within its affine hull, from the _hull that facets and the fan
+    tests of cayley share.  For a flat set those facets are
     representatives modulo the equations, whose masks serve all the same.
     """
     uniq = sorted({tuple(_q(c) for c in pt) for pt in points})

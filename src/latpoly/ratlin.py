@@ -68,17 +68,17 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def adjugate_times(rows: Sequence[Sequence[int]], block: Sequence[Sequence[int]]):
-    """(det A, adj(A) B) for a square integer matrix A, adj A = det A * A^-1,
-    and an integer block B of as many rows, by fraction-free Gauss-Jordan
-    elimination on [A | B] with row swaps (Bareiss, Math. Comp. 22, 1968): every
-    update divides exactly by the previous pivot; a row with a zero in the pivot
+def adjugate(rows: Sequence[Sequence[int]]):
+    """(det A, adj A) for a square integer matrix A, adj A = det A * A^-1 and
+    None when A is singular, by fraction-free Gauss-Jordan elimination on
+    [A | I] with row swaps (Bareiss, Math. Comp. 22, 1968): every update
+    divides exactly by the previous pivot; a row with a zero in the pivot
     column under a pivot equal to the previous one is left alone, since its
-    update (prev * x) // prev is the identity.  None for adj(A) B if det A = 0."""
+    update (prev * x) // prev is the identity."""
     n = len(rows)
-    if any(len(r) != n for r in rows) or len(block) != n:
-        raise ValueError("adjugate needs a square matrix and a block of as many rows")
-    m = [list(r) + list(b) for r, b in zip(rows, block)]
+    if any(len(r) != n for r in rows):
+        raise ValueError("adjugate needs a square matrix")
+    m = [list(r) + list(e) for r, e in zip(rows, identity(n))]
     sign = 1
     prev = 1
     for k in range(n):
@@ -95,13 +95,8 @@ def adjugate_times(rows: Sequence[Sequence[int]], block: Sequence[Sequence[int]]
             if i != k and (f or pivot != prev):
                 m[i] = [(pivot * x - f * y) // prev for x, y in zip(m[i], top)]
         prev = pivot
-    # With P the row swaps, [A | B] is now [det(PA) I | det(PA) A^-1 B].
+    # With P the row swaps, [A | I] is now [det(PA) I | det(PA) A^-1].
     return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
-
-
-def adjugate(rows: Sequence[Sequence[int]]):
-    """(det A, adj A), adj A None when A is singular: adjugate_times with B = I."""
-    return adjugate_times(rows, identity(len(rows)))
 
 
 def independent(rows: Sequence[Sequence]) -> list[int]:

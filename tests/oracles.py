@@ -2,8 +2,9 @@
 runtime path of the package needs: unimodular images and random unimodular
 maps, lattice equivalence, the emptiness test, an exhaustive Cayley search,
 spannedness by definition, u by the adjugate, the degree of the dual variety
-of a smooth polytope's toric variety, the h*-vector, and a certificate for
-each report in the classification's regime."""
+of a smooth polytope's toric variety, the h*-vector, a certificate for
+each report in the classification's regime, and fan equality of summands
+in unimodular coordinates."""
 
 import itertools
 import math
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from latpoly.cayley import same_normal_fan, width_candidates
+from latpoly.cayley import width_candidates
 from latpoly.errors import InvalidPolytope
 from latpoly.polytope import (
     HPolytope,
@@ -20,18 +21,19 @@ from latpoly.polytope import (
     VPolytope,
     _cone_over,
     _lattice_fibres,
+    affine_dim,
     contains,
     ensure_lattice,
     facets,
     is_smooth,
     lattice_point_count,
+    normal_fan_equal,
     shrink,
     vertex_data,
     vertices,
 )
 from latpoly.ratlin import (
     adjugate,
-    adjugate_times,
     det,
     dot,
     identity,
@@ -40,6 +42,7 @@ from latpoly.ratlin import (
     primitive,
     rank,
     smith_normal_form,
+    solve_exact,
     vsub,
 )
 
@@ -182,12 +185,11 @@ def exhaustive_best_k(p: VPolytope, s: int):
 def adjugate_u(p: HPolytope, v: VertexData):
     """The u of a vertex by definition: the solution of <rho_i, u> = 1 over
     its incident normals when there are n of them and they form a lattice
-    basis, by one fraction-free elimination; otherwise None."""
-    n = p.dim
-    if len(v.incident) != n:
+    basis, d times the row sums of the adjugate (d = +-1); otherwise None."""
+    if len(v.incident) != p.dim:
         return None
-    d, sums = adjugate_times([p.facets[i][0] for i in v.incident], ((1,),) * n)
-    return tuple(d * row[0] for row in sums) if abs(d) == 1 else None
+    d, adj = adjugate([p.facets[i][0] for i in v.incident])
+    return tuple(d * sum(row) for row in adj) if abs(d) == 1 else None
 
 
 def ehrhart_hstar(p: HPolytope) -> list[int]:
@@ -302,4 +304,39 @@ def check_regime_certificate(h: HPolytope, report) -> None:
     assert all(type(c) is int for c in point)
     assert all(dot(normal, point) + (k + 1) * offset > 0 for normal, offset in h.facets)
     summands = dec.summands
-    assert dec.strict is all(same_normal_fan(summands[0], q) for q in summands[1:])
+    assert dec.strict is all(snf_same_normal_fan(summands[0], q) for q in summands[1:])
+
+
+def snf_same_normal_fan(a: VPolytope, b: VPolytope) -> bool:
+    """Fan equality of summands by definition: rewrite both polytopes in
+    unimodular coordinates on the saturated direction lattice of a, a Smith
+    normal form basis completed to a basis of Z^n and inverted by exact
+    solves, and compare the fans of their facets."""
+    if a.dim != b.dim or not a.vertices or not b.vertices:
+        return False
+    da = affine_dim(a.vertices)
+    if da != affine_dim(b.vertices):
+        return False
+    if da == 0:
+        return True
+    if da == a.dim:
+        return normal_fan_equal(facets(a), facets(b))
+
+    def direction_basis(q):
+        _, d, v = smith_normal_form([vsub(x, q.vertices[0]) for x in q.vertices[1:]])
+        return v[: sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)]
+
+    rows_a = direction_basis(a)
+    if rank(list(rows_a) + list(direction_basis(b))) != da:
+        return False
+    _, _, v = smith_normal_form(rows_a)
+    n = a.dim
+    inverse_cols = [solve_exact(v, [int(i == j) for i in range(n)]).point for j in range(n)]
+    reduced = []
+    for q in (a, b):
+        pts = {
+            tuple(int(dot(vsub(x, q.vertices[0]), col)) for col in inverse_cols[:da])
+            for x in q.vertices
+        }
+        reduced.append(VPolytope(da, tuple(sorted(pts))))
+    return normal_fan_equal(facets(reduced[0]), facets(reduced[1]))

@@ -23,7 +23,7 @@ from latpoly.cayley import (
     segment,
     width_candidates,
 )
-from latpoly.cayley import _class_mask, _same_cones, _same_fans, _structures
+from latpoly.cayley import _class_mask, _same_cones, _structures
 from latpoly.invariants import (
     _shrink_box,
     classify,
@@ -37,10 +37,12 @@ from latpoly.polytope import (
     VPolytope,
     _facet_masks,
     _lattice_fibres,
+    affine_dim,
     facets,
     is_smooth,
     lattice_point_count,
     lattice_points,
+    reduce_vertices,
     shrink,
     vertex_data,
     vertices,
@@ -57,6 +59,7 @@ from oracles import (
     is_spanned,
     lattice_equivalent,
     random_unimodular,
+    snf_same_normal_fan,
     spanned_at_vertex,
     vertex_shift,
 )
@@ -477,32 +480,27 @@ def test_vertex_data_routes(corpus, sheared, products):
 
 
 def _facet_row_verdicts(h, k):
-    """(incidence verdict, hull verdict) of every facet-row structure of h
-    with k rows, in the order of _structures."""
+    """(incidence verdict, oracle verdict) of every facet-row structure of h
+    with k rows, in the order of _structures; the oracle compares the fans
+    of the summands in unimodular coordinates."""
     data = vertex_data(h)
     verts = tuple(v.point for v in data)
-    incidences = [sum(1 << i for i in v.incident) for v in data]
     tight = _facet_masks([v.incident for v in data], len(h.facets))
     candidates = ((a, -b, _class_mask(verts, a, -b, 1)) for a, b in h.facets)
     oriented = sorted(c for c in candidates if c[2] is not None)
-    verdicts = []
-
-    def both(classes, summands):
-        verdicts.append((_same_cones(incidences, tight, classes), _same_fans(classes, summands)))
-        return verdicts[-1][1]
-
-    for _ in _structures(verts, oriented, k, 1, itertools.count(1), both):
-        pass
-    return verdicts
+    return [
+        (_same_cones(tight, classes), all(snf_same_normal_fan(dec.summands[0], q) for q in dec.summands[1:]))
+        for classes, dec in _structures(verts, oriented, k, 1, itertools.count(1))
+    ]
 
 
 def test_incidence_strictness(corpus_reports):
-    # Strictness read off the incidences against the hulls of the summands,
-    # on every facet-row structure, at every k, of the corpus members in the
-    # regime, of smooth builds of four triangles or four trapezoids of mixed
-    # sizes, and of builds of polygons with different fans, as many vertices
-    # each, which are neither smooth nor strict.  Most structures below the
-    # codegree are not strict.
+    # Strictness read off the incidences against the fans of the summands
+    # in unimodular coordinates, on every facet-row structure, at every k,
+    # of the corpus members in the regime, of smooth builds of four
+    # triangles or four trapezoids of mixed sizes, and of builds of polygons
+    # with different fans, as many vertices each, which are neither smooth
+    # nor strict.  Most structures below the codegree are not strict.
     rng = random.Random(41)
     triangle = lambda a: VPolytope(2, ((0, 0), (a, 0), (0, a)))
     trapezoid = lambda a, b: VPolytope(2, ((0, 0), (a + b, 0), (0, b), (a, b)))
@@ -539,6 +537,39 @@ def test_ehrhart_oracle(corpus_reports, sheared):
         degree = max(i for i, x in enumerate(hstar) if x)
         assert h.dim + 1 - degree == c, (h, hstar, c)
     _report("Ehrhart h* against the codegree")
+
+
+def test_batyrev_nill():
+    # Batyrev and Nill (Moscow Math. J. 7, 2007): a lattice polytope has
+    # degree at most 1 exactly when it is a Lawrence prism, which detect
+    # finds with k >= n - 1 (a unimodular simplex has k = n), or the
+    # exceptional simplex conv(0, 2e_1, 2e_2, e_3, ..., e_n) up to lattice
+    # equivalence.  On hulls of random points of {0, 1, 2}^n, n = 2..5, far
+    # from the smooth corpus, and on sheared Lawrence prisms of 2-6 segments.
+    rng = random.Random(5)
+    cases = []
+    for n in range(2, 6):
+        while len(cases) < 80 * (n - 1):
+            pts = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 4))]
+            if affine_dim(pts) == n:
+                cases.append(reduce_vertices(pts, n))
+    for m in range(2, 7):
+        for _ in range(3):
+            prism = build([segment(rng.randint(1, 3)) for _ in range(m)], 1)
+            cases.append(apply_unimodular(prism, random_unimodular(rng, m, 4), (0,) * m))
+    tally = {"prism": 0, "exceptional": 0, "other": 0}
+    for q in cases:
+        n = q.dim
+        dec = detect(q, 1)
+        prism = dec is not None and dec.k >= n - 1
+        corners = [(0,) * n, (2,) + (0,) * (n - 1), (0, 2) + (0,) * (n - 2)]
+        corners += [tuple(int(i == j) for i in range(n)) for j in range(2, n)]
+        exceptional = VPolytope(n, tuple(sorted(corners)))
+        special = len(q.vertices) == n + 1 and lattice_equivalent(q, exceptional) is not None
+        assert (degree(facets(q)) <= 1) is (prism or special), q
+        tally["prism" if prism else "exceptional" if special else "other"] += 1
+    assert tally["exceptional"] >= 5 and min(tally["prism"], tally["other"]) >= 50, tally
+    _report("Batyrev-Nill")
 
 
 def test_dickenstein_nill(corpus_reports, products):

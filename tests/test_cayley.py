@@ -22,8 +22,6 @@ from latpoly.cayley import (
 from latpoly.errors import InvalidPolytope
 from latpoly.polytope import (
     VPolytope,
-    _max_cones,
-    _normal_cones,
     affine_dim,
     facets,
     is_smooth,
@@ -32,7 +30,7 @@ from latpoly.polytope import (
     vertices,
 )
 from latpoly.ratlin import dot, mat_vec, rank, smith_normal_form, solve_exact, vsub
-from oracles import apply_unimodular, exhaustive_best_k, lattice_equivalent
+from oracles import apply_unimodular, exhaustive_best_k, lattice_equivalent, snf_same_normal_fan
 
 
 def test_build_order_two_cayley_of_segments():
@@ -527,40 +525,6 @@ def test_same_normal_fan_parallel_lower_dimensional_segments():
     assert same_normal_fan(b, c) is True  # parallel segments share the fan
 
 
-def _snf_same_normal_fan(a, b):
-    """Reference: rewrite both polytopes in unimodular coordinates on the
-    saturated direction lattice of a, a Smith normal form basis completed
-    to a basis of Z^n and inverted by exact solves, and compare the fans."""
-    if a.dim != b.dim:
-        return False
-    da = affine_dim(a.vertices)
-    if da != affine_dim(b.vertices):
-        return False
-    if da == 0:
-        return True
-    if da == a.dim:
-        return normal_fan_equal(facets(a), facets(b))
-
-    def direction_basis(q):
-        _, d, v = smith_normal_form([vsub(x, q.vertices[0]) for x in q.vertices[1:]])
-        return v[: sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)]
-
-    rows_a = direction_basis(a)
-    if rank(list(rows_a) + list(direction_basis(b))) != da:
-        return False
-    _, _, v = smith_normal_form(rows_a)
-    n = a.dim
-    inverse_cols = [solve_exact(v, [int(i == j) for i in range(n)]).point for j in range(n)]
-    reduced = []
-    for q in (a, b):
-        pts = {
-            tuple(int(dot(vsub(x, q.vertices[0]), col)) for col in inverse_cols[:da])
-            for x in q.vertices
-        }
-        reduced.append(VPolytope(da, tuple(sorted(pts))))
-    return normal_fan_equal(facets(reduced[0]), facets(reduced[1]))
-
-
 def _flat_polytope(rng, n, basis):
     """Random lattice points spanning the affine space base + span(basis)."""
     base = tuple(rng.randint(-3, 3) for _ in range(n))
@@ -604,7 +568,7 @@ def test_same_normal_fan_matches_snf_reference():
             other = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(da)]
             b = _flat_polytope(rng, n, other) if rank(other) == da else a
         verdict = same_normal_fan(a, b)
-        assert verdict is _snf_same_normal_fan(a, b), (a, b)
+        assert verdict is snf_same_normal_fan(a, b), (a, b)
         verdicts.append(verdict)
     assert 60 <= sum(verdicts) <= 240
 
@@ -619,10 +583,10 @@ def _cloud(rng, n):
 
 
 def test_mask_read_cones_match_facet_fans():
-    # same_normal_fan reads each cone off the masks of the double
-    # description facets runs; the reference takes it from vertex_data of
-    # the facets.  Pairs in R^n are compared as they are and after one
-    # injective integer map into R^(n+1) or R^(n+2), which makes them
+    # same_normal_fan reads the cones off the masks of the hull of the
+    # Cayley sum of the pair; the reference compares the fans of vertex_data
+    # of the facets of each.  Pairs in R^n are compared as they are and after
+    # one injective integer map into R^(n+1) or R^(n+2), which makes them
     # lower-dimensional there.
     rng = random.Random(59)
     verdicts = []
@@ -635,9 +599,6 @@ def test_mask_read_cones_match_facet_fans():
             b = [tuple(k * c + s for c, s in zip(x, t)) for x in a]
         else:
             b = _cloud(rng, n)
-        for pts in (a, b):
-            q = VPolytope(n, tuple(pts))
-            assert _normal_cones(VPolytope(n, tuple(sorted(set(pts))))) == _max_cones(facets(q))
         verdict = normal_fan_equal(facets(VPolytope(n, tuple(a))), facets(VPolytope(n, tuple(b))))
         assert same_normal_fan(VPolytope(n, tuple(a)), VPolytope(n, tuple(b))) is verdict
         m = n + rng.randint(1, 2)
@@ -649,3 +610,71 @@ def test_mask_read_cones_match_facet_fans():
         assert same_normal_fan(*up) is verdict
         verdicts.append(verdict)
     assert 40 <= sum(verdicts) <= 110
+
+
+def test_build_strict_mixed_dimensions_or_empty_summand():
+    # Neither can be built; both fail the fan test before the build does.
+    square = vertices(generate("cube", 2))
+    empty = VPolytope(2, ())
+    cases = [([square, square, segment(2)], 2), ([square, empty], 1), ([empty, square, square], 1)]
+    for summands, j in cases:
+        with pytest.raises(InvalidPolytope, match=f"^summands 0 and {j} have different normal fans$"):
+            build_strict(summands, 1)
+
+
+def test_build_strict_reports_build_faults_first():
+    # With a fan mismatch as well, a bad order or a non-lattice point is
+    # reported: the fan test reads the hull of the sum, built first.
+    tri = vertices(generate("simplex", 1, 2))
+    square = vertices(generate("cube", 2))
+    with pytest.raises(ValueError, match="^order must be a positive integer$"):
+        build_strict([tri, square], 0)
+    half = VPolytope(2, ((0, 0), (Fraction(1, 2), 0), (0, 1)))
+    with pytest.raises(InvalidPolytope, match="^non-integer vertex"):
+        build_strict([square, half], 1)
+
+
+def test_strictness_matches_oracle():
+    # detect's strict against the fans of its summands in unimodular
+    # coordinates, on Cayley sums of dilates of one polytope or of unrelated
+    # ones, given with repeated points and non-extreme ones (midpoints within
+    # a height class, which lie on faces of P), at s = 1 and 2; then
+    # build_strict's accept, or the j of its message, against the first
+    # summand the oracle finds off summand 0's fan, with lower-dimensional
+    # summands among them.
+    rng = random.Random(71)
+    tally = {True: 0, False: 0}
+    rejected = set()
+    for _ in range(60):
+        m, k, s = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+        base = _cloud(rng, m)
+        summands = []
+        for _ in range(k + 1):
+            kind = rng.randrange(3)
+            if kind == 0:
+                c, t = rng.randint(1, 2), [rng.randint(-2, 2) for _ in range(m)]
+                pts = [tuple(c * x + y for x, y in zip(v, t)) for v in base]
+            elif kind == 1 or m == 1:
+                pts = _cloud(rng, m)
+            else:
+                pts = [(x, x) for x, _ in base]  # flat
+            summands.append(VPolytope(m, tuple(pts)))
+        off = [j for j in range(1, k + 1) if not snf_same_normal_fan(summands[0], summands[j])]
+        if off:
+            with pytest.raises(InvalidPolytope, match=f"^summands 0 and {off[0]} have"):
+                build_strict(summands, s)
+            rejected.add(off[0])
+        else:
+            assert build_strict(summands, s) == build(summands, s)
+        p = build(summands, s)
+        if affine_dim(p.vertices) != p.dim:
+            continue
+        points = list(p.vertices) + rng.sample(p.vertices, 2)
+        for a, b in itertools.combinations(p.vertices, 2):
+            if a[m:] == b[m:] and all((x + y) % 2 == 0 for x, y in zip(a, b)):
+                points.append(tuple((x + y) // 2 for x, y in zip(a, b)))
+        rng.shuffle(points)
+        dec = detect(VPolytope(p.dim, tuple(points)), s)
+        assert dec.strict is all(snf_same_normal_fan(dec.summands[0], q) for q in dec.summands[1:])
+        tally[dec.strict] += 1
+    assert min(tally.values()) >= 10 and rejected == {1, 2}, (tally, rejected)

@@ -382,15 +382,28 @@ def test_classify_work_count(monkeypatch, make):
 
 
 def test_localsplit_work_count(monkeypatch):
-    # One hull per rectangle for build_strict's fan test, which build's
-    # reduction of each summand reuses, then facets of the sum and
-    # vertex_data for is_smooth.
+    # One hull per rectangle for build's reduction of each summand, one
+    # hull of the sum for build_strict's fan test, which facets reuses,
+    # then vertex_data for is_smooth.
     def rect(a, b):
         return VPolytope(2, ((0, 0), (0, b), (a, 0), (a, b)))
 
     calls = _count_double_descriptions(monkeypatch)
     check_localsplit([rect(1, 1), rect(2, 1), rect(3, 2)], 1)
     assert len(calls) == 5
+
+
+def test_cayley_detect_work_count(tmp_path, monkeypatch, capsys):
+    # cayley detect on a vrep of the sheared 10-segment prism runs one
+    # double description: the hull of its points, which reduce_vertices
+    # reads on loading and whose masks give the strictness of the structure.
+    target = tmp_path / "prism.json"
+    save_polytope(target, vrep=vertices(_sheared_prism(10)))
+    calls = _count_double_descriptions(monkeypatch)
+    assert main(["cayley", "detect", str(target)]) == 0
+    out = capsys.readouterr().out
+    assert "k: 9\n" in out and "strict: True\n" in out
+    assert len(calls) == 1
 
 
 def test_over_ray_budget_exit_2(tmp_path, capsys):
@@ -551,6 +564,14 @@ def test_localsplit_five_points(tmp_path, capsys):
     assert "applicable: True" in out
     assert "expected: 5/2" in out
     assert "verdict: True" in out
+
+
+def test_localsplit_mixed_dimensions_exit_2(tmp_path, capsys):
+    files = [str(write_gen(tmp_path, "square.json", "cube", 2)), str(write_gen(tmp_path, "seg.json", "cube", 1))]
+    assert main(["localsplit", *files, "--order", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid polytope: summands 0 and 1 have different normal fans\n"
 
 
 def test_localsplit_not_applicable(tmp_path, capsys):

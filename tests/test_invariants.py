@@ -242,7 +242,7 @@ def test_classify_charges_family_nodes_against_budget(monkeypatch):
 
 
 def test_classify_without_strict_structure_raises(monkeypatch):
-    monkeypatch.setattr(cayley, "_same_cones", lambda incidences, tight, classes: False)
+    monkeypatch.setattr(cayley, "_same_cones", lambda tight, classes: False)
     with pytest.raises(TheoremViolation, match="codegree 3 in dimension 3 lacks the forced"):
         classify(generate("lawrence", 1, 1, 1))
 

@@ -8,7 +8,6 @@ from latpoly.ratlin import (
     NON_UNIQUE,
     UNIQUE,
     adjugate,
-    adjugate_times,
     det,
     dot,
     identity,
@@ -174,24 +173,26 @@ def test_adjugate_random():
 
 
 
-def test_adjugate_times_random():
+def test_adjugate_cofactors_random():
+    # adj A by definition: entry (i, j) is (-1)^(i+j) times the minor of A
+    # without row j and column i.
     rng = random.Random(37)
     for _ in range(200):
         n = rng.randint(1, 6)
-        width = rng.randint(1, 3)
         a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        b = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(n)]
         d, adj = adjugate(a)
-        assert adjugate_times(a, b) == (d, None if adj is None else mat_mul(adj, b))
-    with pytest.raises(ValueError):
-        adjugate_times(((1, 0), (0, 1)), ((1,),))
+        if d == 0:
+            assert adj is None
+            continue
+        minor = lambda i, j: [r[:i] + r[i + 1 :] for k, r in enumerate(a) if k != j]
+        assert adj == tuple(tuple((-1) ** (i + j) * det(minor(i, j)) for j in range(n)) for i in range(n))
 
 
-def _unskipped_adjugate_times(rows, block):
-    """adjugate_times without its skip, for A whose pivots need no row
-    swap, with the number of row updates that left their row unchanged."""
+def _unskipped_adjugate(rows):
+    """adjugate without its skip, for A whose pivots need no row swap, with
+    the number of row updates that left their row unchanged."""
     n = len(rows)
-    m = [list(r) + list(b) for r, b in zip(rows, block)]
+    m = [list(r) + list(e) for r, e in zip(rows, identity(n))]
     prev = 1
     unchanged = 0
     for k in range(n):
@@ -205,7 +206,7 @@ def _unskipped_adjugate_times(rows, block):
     return prev, tuple(tuple(r[n:]) for r in m), unchanged
 
 
-def test_adjugate_times_sparse_unit_pivots():
+def test_adjugate_sparse_unit_pivots():
     # Facet normals at a vertex are sparse with pivots +-1, so most row
     # updates are the identity and are skipped.  Unit lower triangular: every
     # pivot is 1 and no row swaps; shuffled copies with rows negated take
@@ -218,12 +219,11 @@ def test_adjugate_times_sparse_unit_pivots():
         for i in range(n):
             for j in rng.sample(range(i), min(i, 2)):
                 a[i][j] = rng.choice((-1, 1))
-        ones = ((1,),) * n
         d, adj = adjugate(a)
         assert abs(d) == 1 and d == det(a)
         assert mat_mul(a, adj) == tuple(tuple(d * x for x in r) for r in identity(n))
-        ref_d, ref_sums, same = _unskipped_adjugate_times(a, ones)
-        assert adjugate_times(a, ones) == (ref_d, ref_sums) == (d, mat_mul(adj, ones))
+        ref_d, ref_adj, same = _unskipped_adjugate(a)
+        assert (d, adj) == (ref_d, ref_adj)
         updates += n * (n - 1)
         unchanged += same
         rng.shuffle(a)
